@@ -1,15 +1,13 @@
-"""Benchmark of polybern: three workloads, end-to-end metrics, per-layer trace.
+"""Benchmark of polybern: two workloads, end-to-end metrics, per-layer trace.
 
 Run from the root of a source checkout (it needs ``src/polybern``)::
 
-    python3 perfbench/run.py --workload cli-default --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload series-stress --seed 1 --seconds 50 --trace 0
 
 Workloads (one operation at a time, closed loop, a single caller):
 
-* ``cli-default``: each README command line at its documented defaults, as a
-  fresh ``python -m polybern.cli`` process; the seed is not used.
 * ``series-stress``: fresh CLI processes at slow-regime series orders; the
-  seed picks ``--k``/``--n`` for the commands that take them, once per run.
+  seed picks ``--k``/``--n`` afresh for every pass.
 * ``sequence-session``: one long-lived process per pass answering a seeded
   stream of row queries (``perfbench/session.py``).
 
@@ -47,30 +45,13 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 DIGESTS = HERE / "digests.json"
 
-# The README's command lines, at their documented defaults.
-CLI_DEFAULT = (
-    "table genocchi --max-n 11",
-    "table stirling1 --max-n 8 --format text",
-    "table polybernoulli-B --k -3 --max-n 12",
-    "table scriptB --m 6 --l 6 --n 2 --format json",
-    "expand egf-B --k 2 --order 16",
-    "expand egf-C --k -1 --order 16",
-    "expand egf-poly --k 1 --x=1/2",
-    "expand egf-scriptB --n 2 --order 10",
-    "expand ogf-f1 --order 20",
-    "expand g1 --order 20",
-    "expand beta1 --order 20",
-    "verify all",
-    "verify all --format json",
-    "verify duality --max-l 20 --max-m 20 --max-n 6",
-    "verify funceq-remainder --n 4 --mode sample --format json",
-)
-
 # Slow-regime orders stay fixed; the seed picks the flag value from the given
-# choices.  Choices are limited to values of about equal cost, so that seeds
-# differ in inputs but not in the amount of work: funceq-remainder takes
-# 1.9 s at n <= 4 and over 3 s at n >= 5, and kernel-closed-form 1.0 s at
-# n = 2 against 1.3 s at its default n = 3.
+# choices, afresh for every pass.  Choices are limited to values of about
+# equal cost, so that seeds differ in inputs but not in the amount of work:
+# funceq-remainder takes 1.9 s at n <= 4 and over 3 s at n >= 5, and
+# kernel-closed-form 1.0 s at n = 2 against 1.3 s at its default n = 3.  The
+# costs still differ by up to a fifth, and a draw once per run made op_p50_s
+# depend on the seed; drawn per pass, every run sees a mix of them.
 SERIES_STRESS = (
     ("verify funceq-remainder --order 56", "--n", (3, 4)),
     ("verify f2-funceq --order 64", None, ()),
@@ -84,24 +65,24 @@ SERIES_STRESS = (
     ("expand egf-scriptB --order 20", "--n", (1, 2, 3, 4)),
 )
 
-SESSION_QUERIES = 8000
-
 # op_tail_s is a percentile fixed per workload, so that it names the same
 # point of the distribution on every commit however many passes fit, with at
 # least ten samples beyond it once the minimum number of passes is done.  In
-# the CLI workloads every pass runs the same commands, so the percentile is
+# series-stress every pass runs the same ten commands, so the percentile is
 # placed inside a group of commands of about equal time rather than at a
-# step between two groups: p90 of cli-default falls among the two "verify
-# all" runs, p60 of series-stress among the commands taking 1.2-1.5 s.  In
-# the session, p99 depends on which rows miss the caches first, which the
+# step between two groups: p60 falls among the commands taking 1.2-1.7 s.
+# In the session, p99 depends on which rows miss the caches first, which the
 # seed decides, while p95 does not.
 WORKLOADS = {
-    "cli-default": {"tail_pct": 90, "min_passes": 7},
     "series-stress": {"tail_pct": 60, "min_passes": 3},
     "sequence-session": {"tail_pct": 95, "min_passes": 1},
 }
 
-SETUP_REPEATS = 15
+# setup_s is the median of fresh set-ups taken before the first pass and
+# after every pass, not in one block: the host's load changes from one second
+# to the next, and samples spread over the run see the same span of time as
+# the passes do.
+SETUP_PER_GAP = 3
 SETUP_CODE = "import polybern.cli as cli; cli.build_parser()"
 
 # A run must end within 180 s even if the program hangs or slows badly: no
@@ -112,8 +93,8 @@ PASS_CUTOFF_S = 100
 RUN_LIMIT_S = 165
 
 
-def series_stress_commands(seed: int) -> list[str]:
-    rng = random.Random(seed)
+def series_stress_commands(rng: random.Random) -> list[str]:
+    """One pass of series-stress, with the next flag values drawn from ``rng``."""
     return [
         f"{line} {flag} {rng.choice(choices)}" if flag else line
         for line, flag, choices in SERIES_STRESS
@@ -121,8 +102,8 @@ def series_stress_commands(seed: int) -> list[str]:
 
 
 def every_command_line() -> list[str]:
-    """Each command line a CLI workload can run, for every seed."""
-    lines = list(CLI_DEFAULT)
+    """Each command line series-stress can run, for every seed."""
+    lines = []
     for line, flag, choices in SERIES_STRESS:
         if flag:
             lines.extend(f"{line} {flag} {c}" for c in choices)
@@ -164,15 +145,13 @@ def spawn(argv: list[str]) -> dict:
     }
 
 
-def measure_setup() -> float:
-    """Median time for a fresh interpreter to import polybern and build the parser."""
-    times = []
-    for _ in range(SETUP_REPEATS):
+def measure_setup(times: list) -> None:
+    """Time fresh interpreters that import polybern and build the parser."""
+    for _ in range(SETUP_PER_GAP):
         child = spawn([sys.executable, "-c", SETUP_CODE])
         if child["exit"] != 0:
             sys.exit(f"set-up failed:\n{child['stderr']}")
         times.append(child["elapsed"])
-    return statistics.median(times)
 
 
 @dataclass
@@ -225,18 +204,18 @@ def run_session_pass(seed, reference, traced=False) -> Pass:
     """One session process.  The first pass checks every answer against
     independent routes and becomes the reference for later passes' digests."""
     argv = [sys.executable, str(HERE / "session.py"), "--seed", str(seed)]
-    argv += ["--queries", str(SESSION_QUERIES)]
     if not reference:
         argv.append("--check")
     if traced:
         argv.append("--trace")
     child = spawn(argv)
-    result = Pass(attempted=SESSION_QUERIES)
+    result = Pass()
     if child["exit"] != 0:
-        result.failed = SESSION_QUERIES
+        result.attempted = result.failed = 1
         result.notes.append(f"session process failed: {child['stderr'].strip()[-300:]}")
         return result
     report = json.loads(child["stdout"])
+    result.attempted = len(report["latencies"])
     result.wall_s = report["stream_s"]
     result.op_s = report["latencies"]
     result.peak_rss_mb = report["peak_rss_mb"]
@@ -268,7 +247,6 @@ def main(argv=None) -> int:
         print(f"error: no polybern sources under {SRC}; run from a checkout", file=sys.stderr)
         return 2
     workload = WORKLOADS[args.workload]
-    setup_s = None if args.trace else measure_setup()
 
     if args.workload == "sequence-session":
         reference = []
@@ -277,12 +255,12 @@ def main(argv=None) -> int:
             return run_session_pass(args.seed, reference, traced)
     else:
         digests = json.loads(DIGESTS.read_text())
-        lines = CLI_DEFAULT if args.workload == "cli-default" else series_stress_commands(args.seed)
+        rng = random.Random(args.seed)
 
         def one_pass(traced):
-            return run_cli_pass(lines, digests, traced)
+            return run_cli_pass(series_stress_commands(rng), digests, traced)
 
-    passes, traced_passes = [], []
+    passes, traced_passes, setup_times = [], [], []
     start = time.perf_counter()
 
     if args.trace:
@@ -290,10 +268,12 @@ def main(argv=None) -> int:
         while not traced_passes or time.perf_counter() - start < args.seconds:
             traced_passes.append(one_pass(True))
     else:
+        measure_setup(setup_times)
         while time.perf_counter() - start < args.seconds or (
             len(passes) < workload["min_passes"] and time.perf_counter() - STARTED < PASS_CUTOFF_S
         ):
             passes.append(one_pass(False))
+            measure_setup(setup_times)
 
     everything = passes + traced_passes
     attempted = sum(p.attempted for p in everything)
@@ -325,7 +305,7 @@ def main(argv=None) -> int:
         pct = workload["tail_pct"]
         beyond = len(ops) - math.ceil(pct / 100 * len(ops))
         metrics = {
-            "setup_s": {"value": setup_s, "unit": "s"},
+            "setup_s": {"value": statistics.median(setup_times), "unit": "s"},
             "wall_s": {"value": statistics.median(p.wall_s for p in passes), "unit": "s"},
             "op_p50_s": {"value": statistics.median(ops), "unit": "s"},
             "op_tail_s": {"value": nearest_rank(ops, pct), "unit": "s"},
@@ -334,7 +314,7 @@ def main(argv=None) -> int:
         print(
             f"workload={args.workload} seed={args.seed} passes={len(passes)}"
             f" ops_per_pass={len(passes[0].op_s)} op_tail_s=p{pct} over {len(ops)} samples"
-            f" ({beyond} beyond) failed_frac={failed / attempted}"
+            f" ({beyond} beyond) setup_samples={len(setup_times)} failed_frac={failed / attempted}"
         )
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}
     print(json.dumps(result))
