@@ -21,6 +21,7 @@ from .series import (
     Series1,
     Series2,
     egf_coefficient,
+    polylog_over_argument,
     polylog_substitute,
     product_xy,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "Series1",
     "Series2",
     "egf_coefficient",
+    "polylog_over_argument",
     "polylog_substitute",
     "product_xy",
     # poly-Bernoulli

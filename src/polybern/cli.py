@@ -59,17 +59,6 @@ TABLE_SEQUENCES = (
 EXPAND_FUNCTIONS = ("egf-B", "egf-C", "egf-poly", "egf-scriptB", "ogf-f1", "g1", "beta1")
 DEFAULT_EXPAND_ORDER = 32
 
-# Maps each CLI verify flag to the identity-parameter name it sets.
-_VERIFY_FLAGS = {
-    "order": "order",
-    "max_l": "max_l",
-    "max_m": "max_m",
-    "max_n": "max_n",
-    "n": "n",
-    "r": "r",
-    "mode": "mode",
-}
-
 
 class UsageError(ValueError):
     """A structurally valid command line with missing/invalid option values."""
@@ -309,11 +298,8 @@ def _report_line(report: VerificationReport) -> str:
 
 
 def _verify_reports(config: CliConfig) -> list[VerificationReport]:
-    overrides = {
-        param: config.options[flag]
-        for flag, param in _VERIFY_FLAGS.items()
-        if config.options.get(flag) is not None
-    }
+    # Each verify flag's dest is the identity parameter it sets.
+    overrides = {name: value for name, value in config.options.items() if value is not None}
     if config.target == "all":
         per_identity = {
             identity_id: {

@@ -14,6 +14,7 @@ coefficient family.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -63,9 +64,11 @@ def _run_pairs(
     mutate_at: Optional[Location],
 ) -> VerificationReport:
     checked = 0
+    mutated = False
     for location, lhs, rhs in pairs:
         if mutate_at is not None and location == mutate_at:
             lhs = lhs + 1
+            mutated = True
         checked += 1
         if lhs != rhs:
             return VerificationReport(
@@ -73,7 +76,20 @@ def _run_pairs(
             )
     if checked == 0:
         raise ParameterError(f"{identity_id}: empty check range")
+    if mutate_at is not None and not mutated:
+        raise ParameterError(f"{identity_id}: mutate_at {mutate_at!r} is not a compared location")
     return VerificationReport(identity_id, parameters, True, None, checked)
+
+
+def _coefficient_pairs(lhs, rhs, *prefix) -> Iterator[CheckPair]:
+    """Pair the coefficients of two same-shape series, located after prefix."""
+    if isinstance(lhs, Series1):
+        for i in range(lhs.order + 1):
+            yield (*prefix, ("i", i)), lhs[i], rhs[i]
+        return
+    for i in range(lhs.order + 1):
+        for j in range(lhs.order - i + 1):
+            yield (*prefix, ("i", i), ("j", j)), lhs[i, j], rhs[i, j]
 
 
 def _require_index(name: str, value, minimum: int = 0) -> int:
@@ -311,14 +327,12 @@ def verify_ogf(n: int = 4, order: int = 14, *, mutate_at=None) -> VerificationRe
 
     def pairs() -> Iterator[CheckPair]:
         for j in range(order + 1):
-            rational = q_series(j, order, "rational")
-            stirling = q_series(j, order, "stirling")
-            for i in range(order + 1):
-                yield (
-                    (("part", "q-route"), ("j", j), ("i", i)),
-                    rational[i],
-                    stirling[i],
-                )
+            yield from _coefficient_pairs(
+                q_series(j, order, "rational"),
+                q_series(j, order, "stirling"),
+                ("part", "q-route"),
+                ("j", j),
+            )
         series = ogf_series(n, order, "rational")
         for l in range(order + 1):
             for m in range(order - l + 1):
@@ -343,13 +357,7 @@ def verify_trivariate(order: int = 6, *, mutate_at=None) -> VerificationReport:
         geometric = product_xy(ex, ex) * inverse_d
         for n in range(order + 1):
             target = egf_closed_form(n, order) * Fraction(1, factorial(n))
-            for i in range(order + 1):
-                for j in range(order - i + 1):
-                    yield (
-                        (("n", n), ("i", i), ("j", j)),
-                        geometric[i, j],
-                        target[i, j],
-                    )
+            yield from _coefficient_pairs(geometric, target, ("n", n))
             geometric = geometric * inverse_d
 
     return _run_pairs("trivariate", params, pairs(), mutate_at)
@@ -401,13 +409,9 @@ def verify_kernel_closed_form(
     params = {"n": n, "order": order}
     definition = kernel_family(n, order)
     closed = kernel_family_closed(n, order)
-
-    def pairs() -> Iterator[CheckPair]:
-        for i in range(order + 1):
-            for j in range(order - i + 1):
-                yield (("i", i), ("j", j)), definition[i, j], closed[i, j]
-
-    return _run_pairs("kernel-closed-form", params, pairs(), mutate_at)
+    return _run_pairs(
+        "kernel-closed-form", params, _coefficient_pairs(definition, closed), mutate_at
+    )
 
 
 def verify_alternating_b_sum(max_n: int = 30, *, mutate_at=None) -> VerificationReport:
@@ -447,12 +451,7 @@ def verify_beta1_funceq(order: int = 30, *, mutate_at=None) -> VerificationRepor
     beta1 = beta1_series(order)
     lhs = beta1.mobius_substitution(1)
     rhs = beta1 + Series1.monomial(1, 2, order)
-
-    def pairs() -> Iterator[CheckPair]:
-        for i in range(order + 1):
-            yield (("i", i),), lhs[i], rhs[i]
-
-    return _run_pairs("beta1-funceq", params, pairs(), mutate_at)
+    return _run_pairs("beta1-funceq", params, _coefficient_pairs(lhs, rhs), mutate_at)
 
 
 def verify_g1_funceq(order: int = 30, *, mutate_at=None) -> VerificationReport:
@@ -462,12 +461,7 @@ def verify_g1_funceq(order: int = 30, *, mutate_at=None) -> VerificationReport:
     g1 = g1_series(order)
     lhs = g1.mobius_substitution(2)
     rhs = g1 + g1_inhomogeneity(order)
-
-    def pairs() -> Iterator[CheckPair]:
-        for i in range(order + 1):
-            yield (("i", i),), lhs[i], rhs[i]
-
-    return _run_pairs("g1-funceq", params, pairs(), mutate_at)
+    return _run_pairs("g1-funceq", params, _coefficient_pairs(lhs, rhs), mutate_at)
 
 
 def verify_f2_funceq(order: int = 30, *, mutate_at=None) -> VerificationReport:
@@ -483,14 +477,14 @@ def verify_f2_funceq(order: int = 30, *, mutate_at=None) -> VerificationReport:
         for i in range(order + 1):
             rhs = -genocchi(i - 1) if i >= 1 else 0
             yield (("part", "bridge"), ("i", i)), f2[i], rhs
-        lhs_f1 = f1.mobius_substitution(2)
-        rhs_f1 = (1 - 2 * Series1.variable(order)) * f1 + f1_inhomogeneity(order)
-        for i in range(order + 1):
-            yield (("part", "f1-form"), ("i", i)), lhs_f1[i], rhs_f1[i]
-        lhs_f2 = f2.mobius_substitution(2)
-        rhs_f2 = f2 + g1_inhomogeneity(order)
-        for i in range(order + 1):
-            yield (("part", "f2-form"), ("i", i)), lhs_f2[i], rhs_f2[i]
+        yield from _coefficient_pairs(
+            f1.mobius_substitution(2),
+            (1 - 2 * Series1.variable(order)) * f1 + f1_inhomogeneity(order),
+            ("part", "f1-form"),
+        )
+        yield from _coefficient_pairs(
+            f2.mobius_substitution(2), f2 + g1_inhomogeneity(order), ("part", "f2-form")
+        )
 
     return _run_pairs("f2-funceq", params, pairs(), mutate_at)
 
@@ -542,12 +536,7 @@ def verify_funceq_remainder(
             * Series1([c0, c1, c2], order)
             * terms[n + 1]
         )
-
-        def pairs() -> Iterator[CheckPair]:
-            for i in range(order + 1):
-                yield (("i", i),), lhs[i], rhs[i]
-
-        return _run_pairs("funceq-remainder", params, pairs(), mutate_at)
+        return _run_pairs("funceq-remainder", params, _coefficient_pairs(lhs, rhs), mutate_at)
 
     if points is None:
         points = _DEFAULT_SAMPLE_POINTS
@@ -627,28 +616,32 @@ class IdentityEntry:
     defaults: tuple  # ((name, value), ...) — kept immutable
 
 
-def _entry(identity_id: str, runner, **defaults) -> IdentityEntry:
-    return IdentityEntry(identity_id, runner, tuple(defaults.items()))
+def _entry(identity_id: str, runner) -> IdentityEntry:
+    """Register a verifier with its signature defaults (mutate_at is keyword-only)."""
+    defaults = tuple(
+        (p.name, p.default)
+        for p in inspect.signature(runner).parameters.values()
+        if p.kind is p.POSITIONAL_OR_KEYWORD
+    )
+    return IdentityEntry(identity_id, runner, defaults)
 
 
 REGISTRY: dict[str, IdentityEntry] = {
     e.identity_id: e
     for e in (
-        _entry("duality", verify_duality, max_l=20, max_m=20, max_n=6),
-        _entry("egf", verify_egf, n=4, order=14),
-        _entry("ogf", verify_ogf, n=4, order=14),
-        _entry("trivariate", verify_trivariate, order=6),
-        _entry("stirling-expansion", verify_stirling_expansion, n=3, r=6, order=12),
-        _entry("kernel-closed-form", verify_kernel_closed_form, n=3, order=10),
-        _entry("alternating-b-sum", verify_alternating_b_sum, max_n=30),
-        _entry("genocchi-sum", verify_genocchi_sum, max_n=30),
-        _entry("beta1-funceq", verify_beta1_funceq, order=30),
-        _entry("g1-funceq", verify_g1_funceq, order=30),
-        _entry("f2-funceq", verify_f2_funceq, order=30),
-        _entry(
-            "funceq-remainder", verify_funceq_remainder, n=4, mode="series", order=30, points=None
-        ),
-        _entry("uniqueness-recursion", verify_uniqueness_recursion, max_m=40),
+        _entry("duality", verify_duality),
+        _entry("egf", verify_egf),
+        _entry("ogf", verify_ogf),
+        _entry("trivariate", verify_trivariate),
+        _entry("stirling-expansion", verify_stirling_expansion),
+        _entry("kernel-closed-form", verify_kernel_closed_form),
+        _entry("alternating-b-sum", verify_alternating_b_sum),
+        _entry("genocchi-sum", verify_genocchi_sum),
+        _entry("beta1-funceq", verify_beta1_funceq),
+        _entry("g1-funceq", verify_g1_funceq),
+        _entry("f2-funceq", verify_f2_funceq),
+        _entry("funceq-remainder", verify_funceq_remainder),
+        _entry("uniqueness-recursion", verify_uniqueness_recursion),
     )
 }
 

@@ -20,7 +20,7 @@ from functools import cache
 from math import comb, factorial
 
 from .combinatorics import stirling_first, stirling_second
-from .series import Series1
+from .series import Series1, polylog_over_argument
 
 
 class RationalPolynomial:
@@ -171,21 +171,6 @@ def script_B_closed(m: int, l: int, n: int) -> int:
 # Generating-function routes (truncated exact power series in t).
 
 
-def _polylog_over_argument(k: int, z: Series1) -> Series1:
-    """Li_k(z)/z as a series, valid when z has zero constant term.
-
-    Equals sum_{m>=1} z**(m-1) / m**k; the shift by one power keeps the
-    division exact even though z itself is not invertible.
-    """
-    order = z.order
-    acc = Series1.constant(Fraction(1), order)  # m = 1 term
-    power = Series1.one(order)
-    for m in range(2, order + 2):
-        power = power * z
-        acc = acc + power * Fraction(m) ** (-k)
-    return acc
-
-
 def _one_minus_exp_neg(order: int) -> Series1:
     t = Series1.variable(order)
     return 1 - (-t).exp()
@@ -193,7 +178,7 @@ def _one_minus_exp_neg(order: int) -> Series1:
 
 def egf_poly_bernoulli_B(k: int, order: int) -> Series1:
     """EGF of the B-type numbers: Li_k(1 - e^-t) / (1 - e^-t), truncated."""
-    return _polylog_over_argument(k, _one_minus_exp_neg(order))
+    return polylog_over_argument(k, _one_minus_exp_neg(order))
 
 
 def egf_poly_bernoulli_C(k: int, order: int) -> Series1:

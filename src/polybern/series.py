@@ -27,6 +27,57 @@ def _as_scalar(value):
     return NotImplemented
 
 
+def _convolve(out, a, b, n) -> None:
+    """Add the product of coefficient sequences a and b into out, up to index n."""
+    for i in range(n + 1):
+        x = a[i]
+        if x:
+            for j in range(n + 1 - i):
+                y = b[j]
+                if y:
+                    out[i + j] += x * y
+
+
+# Ring methods shared by Series1 and Series2.  Each class binds them into its
+# own namespace, so patching a method on one class leaves the other alone.
+
+
+def _zero(cls, order: int):
+    return cls.constant(0, order)
+
+
+def _one(cls, order: int):
+    return cls.constant(1, order)
+
+
+def _sub(self, other):
+    return self + (-other)
+
+
+def _rsub(self, other):
+    return (-self) + other
+
+
+def _pow(self, exponent: int):
+    return self.power(exponent)
+
+
+def _power(self, exponent: int):
+    """self**exponent by repeated squaring; negative exponents via inverse."""
+    if exponent < 0:
+        return self.inverse().power(-exponent)
+    result = type(self).one(self.order)
+    base = self
+    e = exponent
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 class Series1:
     """sum(c[i] * x**i for i <= order), coefficients exact."""
 
@@ -45,13 +96,8 @@ class Series1:
         self.order = order
         self.coeffs = tuple(coeffs[: order + 1])
 
-    @classmethod
-    def zero(cls, order: int) -> "Series1":
-        return cls([0], order)
-
-    @classmethod
-    def one(cls, order: int) -> "Series1":
-        return cls([1], order)
+    zero = classmethod(_zero)
+    one = classmethod(_one)
 
     @classmethod
     def constant(cls, value, order: int) -> "Series1":
@@ -109,11 +155,8 @@ class Series1:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Series1":
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Series1":
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __neg__(self) -> "Series1":
         return Series1([-c for c in self.coeffs], self.order)
@@ -122,37 +165,15 @@ class Series1:
         if isinstance(other, Series1):
             n = min(self.order, other.order)
             out = [0] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
+            _convolve(out, self.coeffs, other.coeffs, n)
             return Series1(out, n)
         if (s := _as_scalar(other)) is NotImplemented:
             return NotImplemented
         return Series1([c * s for c in self.coeffs], self.order)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Series1":
-        return self.power(exponent)
-
-    def power(self, exponent: int) -> "Series1":
-        """self**exponent by repeated squaring; negative exponents via inverse."""
-        if exponent < 0:
-            return self.inverse().power(-exponent)
-        result = Series1.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+    __pow__ = _pow
+    power = _power
 
     def inverse(self) -> "Series1":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -231,13 +252,8 @@ class Series2:
         self.order = order
         self.coeffs = tuple(rows)
 
-    @classmethod
-    def zero(cls, order: int) -> "Series2":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "Series2":
-        return cls([[1]], order)
+    zero = classmethod(_zero)
+    one = classmethod(_one)
 
     @classmethod
     def constant(cls, value, order: int) -> "Series2":
@@ -315,11 +331,8 @@ class Series2:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Series2":
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Series2":
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __neg__(self) -> "Series2":
         return Series2([[-c for c in row] for row in self.coeffs], self.order)
@@ -329,41 +342,16 @@ class Series2:
             n = min(self.order, other.order)
             rows = [[0] * (n - i + 1) for i in range(n + 1)]
             for i1 in range(n + 1):
-                row_a = self.coeffs[i1]
-                for j1 in range(n - i1 + 1):
-                    a = row_a[j1]
-                    if not a:
-                        continue
-                    for i2 in range(n - i1 - j1 + 1):
-                        row_b = other.coeffs[i2]
-                        out = rows[i1 + i2]
-                        for j2 in range(n - i1 - j1 - i2 + 1):
-                            b = row_b[j2]
-                            if b:
-                                out[j1 + j2] += a * b
+                for i2 in range(n - i1 + 1):
+                    _convolve(rows[i1 + i2], self.coeffs[i1], other.coeffs[i2], n - i1 - i2)
             return Series2(rows, n)
         if (s := _as_scalar(other)) is NotImplemented:
             return NotImplemented
         return Series2([[c * s for c in row] for row in self.coeffs], self.order)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Series2":
-        return self.power(exponent)
-
-    def power(self, exponent: int) -> "Series2":
-        if exponent < 0:
-            return self.inverse().power(-exponent)
-        result = Series2.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+    __pow__ = _pow
+    power = _power
 
     def inverse(self) -> "Series2":
         """Inverse via the truncated geometric series in (1 - self/a0)."""
@@ -419,20 +407,26 @@ def product_xy(sx: Series1, sy: Series1, order: int | None = None) -> Series2:
     return Series2(rows, order)
 
 
-def polylog_substitute(k: int, inner):
-    """sum_{m=1}^{order} inner**m / m**k, exact for every integer k.
+def polylog_over_argument(k: int, z):
+    """Li_k(z)/z = sum_{m>=1} z**(m-1) / m**k, exact for every integer k.
 
-    Only finitely many powers contribute because inner must have zero
-    constant term; works for Series1 and Series2 alike.
+    Only finitely many powers contribute because z must have zero constant
+    term; the shift by one power keeps the division exact even though z
+    itself is not invertible.  Works for Series1 and Series2 alike.
     """
-    if inner.constant_term != 0:
+    if z.constant_term != 0:
         raise DomainError("polylog substitution needs a zero constant term")
-    acc = inner * 0
-    power = None
-    for m in range(1, inner.order + 1):
-        power = inner if power is None else power * inner
+    acc = type(z).constant(Fraction(1), z.order)  # m = 1 term
+    power = type(z).one(z.order)
+    for m in range(2, z.order + 2):
+        power = power * z
         acc = acc + power * Fraction(m) ** (-k)
     return acc
+
+
+def polylog_substitute(k: int, inner):
+    """Li_k(inner) = sum_{m>=1} inner**m / m**k; inner needs zero constant term."""
+    return inner * polylog_over_argument(k, inner)
 
 
 def egf_coefficient(series, exponents):
@@ -449,6 +443,7 @@ __all__ = [
     "Series1",
     "Series2",
     "product_xy",
+    "polylog_over_argument",
     "polylog_substitute",
     "egf_coefficient",
 ]

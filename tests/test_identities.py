@@ -92,6 +92,18 @@ def test_mutation_flips_to_located_failure(identity_id, kwargs, location):
     assert mutated.counterexample.lhs != mutated.counterexample.rhs
 
 
+@pytest.mark.parametrize(
+    "location",
+    [
+        (("i", 99),),  # index beyond the compared range
+        (("j", 0),),  # key the verifier never uses
+    ],
+)
+def test_mutation_of_uncompared_location_is_rejected(location):
+    with pytest.raises(ParameterError, match="not a compared location"):
+        idn.verify_beta1_funceq(10, mutate_at=location)
+
+
 def test_reports_are_deterministic():
     a = verify_one("duality", max_l=5, max_m=5, max_n=2)
     b = verify_one("duality", max_l=5, max_m=5, max_n=2)

@@ -5,8 +5,10 @@ expansions built on the series engine act as the independent oracle, since
 they share no code path with the Stirling double sum.
 """
 
+import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,14 @@ def test_double_sum_against_egf_oracle():
         for n in range(13):
             assert egf_coefficient(series_b, n) == poly_bernoulli_B(n, k), (n, k)
             assert egf_coefficient(series_c, n) == poly_bernoulli_C(n, k), (n, k)
+
+
+def test_readme_series_snippet():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"Series work the same way:\s*```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(snippet.group(1), namespace)
+    assert namespace["egf"][3] * factorial(3) == poly_bernoulli_B(3, 2)
 
 
 def test_polynomial_egf_against_coefficient_route():

@@ -1,7 +1,7 @@
 """Truncated exact power-series engine: ring laws, analytic ops, truncation."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +36,16 @@ def random_series2(draw_coeffs):
 
 n2 = (ORDER + 1) * (ORDER + 2) // 2
 series2 = st.lists(coeff, min_size=n2, max_size=n2).map(random_series2)
+
+
+@st.composite
+def series2_any_order(draw):
+    order = draw(st.integers(0, ORDER))
+    rows = [
+        draw(st.lists(coeff, min_size=order - i + 1, max_size=order - i + 1))
+        for i in range(order + 1)
+    ]
+    return Series2(rows, order)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +117,21 @@ def test_mul_matches_schoolbook_convolution(a, b):
     prod = a * b
     for n in range(ORDER + 1):
         assert prod[n] == sum(a[k] * b[n - k] for k in range(n + 1))
+
+
+@given(series2_any_order(), series2_any_order())
+@settings(max_examples=40, deadline=None)
+def test_mul_2d_matches_schoolbook_convolution(a, b):
+    n = min(a.order, b.order)
+    expected = [[0] * (n - i + 1) for i in range(n + 1)]
+    for i1 in range(n + 1):
+        for j1 in range(n + 1 - i1):
+            for i2 in range(n + 1 - i1 - j1):
+                for j2 in range(n + 1 - i1 - j1 - i2):
+                    expected[i1 + i2][j1 + j2] += a[i1, j1] * b[i2, j2]
+    prod = a * b
+    assert prod.order == n
+    assert prod == Series2(expected, n)
 
 
 def test_mul_truncates_to_min_order():
@@ -255,6 +280,14 @@ def test_polylog_negative_k_integer_coefficients():
     assert li == Series1([0] + [m * m for m in range(1, 9)], 8)
     with pytest.raises(DomainError):
         polylog_substitute(2, Series1.one(4))
+    # bivariate argument: sum m^2 (x+y)^m
+    w = Series2.variable(0, 6) + Series2.variable(1, 6)
+    li2 = polylog_substitute(-2, w)
+    assert all(
+        li2[i, j] == comb(i + j, i) * (i + j) ** 2 for i in range(7) for j in range(7 - i)
+    )
+    with pytest.raises(DomainError):
+        polylog_substitute(2, Series2.one(4))
 
 
 def test_egf_coefficient():
