@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from polybern.identities import IDENTITY_IDS, REGISTRY, verify_one
+from polybern.identities import IDENTITY_IDS, verify_one
 
 QUICK = {
     "duality": dict(max_l=8, max_m=8, max_n=3),

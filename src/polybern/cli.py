@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -45,7 +44,7 @@ from .polybernoulli import (
     poly_bernoulli_C,
     script_B_closed,
 )
-from .series import DomainError, Series1, Series2
+from .series import DomainError, Series1
 
 TABLE_SEQUENCES = (
     "stirling1",
@@ -62,15 +61,6 @@ DEFAULT_EXPAND_ORDER = 32
 
 class UsageError(ValueError):
     """A structurally valid command line with missing/invalid option values."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    target: str
-    fmt: str
-    output: Optional[str]
-    options: dict = field(default_factory=dict)
 
 
 def _render(value) -> str:
@@ -116,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--x", help="rational evaluation point for egf-poly (e.g. 1/2; use --x=-1/3)"
     )
     expand.add_argument("--n", type=int, help="argument n for egf-scriptB")
-    expand.add_argument("--format", choices=("csv", "json", "text"), default="json")
+    expand.add_argument("--format", choices=("json",), default="json")
     expand.add_argument("--output")
 
     verify = sub.add_parser("verify", help="verify one identity or the full inventory")
@@ -137,10 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 # table
 
 
-def _table_rows(config: CliConfig):
-    sequence = config.target
-    opts = config.options
-    max_n = opts["max_n"]
+def _table_rows(args: argparse.Namespace):
+    sequence = args.sequence
+    max_n = args.max_n
     if max_n < 0:
         raise UsageError("--max-n must be non-negative")
     if sequence in ("stirling1", "stirling2"):
@@ -153,7 +142,7 @@ def _table_rows(config: CliConfig):
     if sequence == "genocchi":
         return ("n", "value"), [(n, genocchi(n)) for n in range(max_n + 1)], {"max_n": max_n}
     if sequence in ("polybernoulli-B", "polybernoulli-C"):
-        k = opts.get("k")
+        k = args.k
         if k is None:
             raise UsageError(f"table {sequence} requires --k")
         fn = poly_bernoulli_B if sequence == "polybernoulli-B" else poly_bernoulli_C
@@ -161,7 +150,7 @@ def _table_rows(config: CliConfig):
         rows = [(n, k, fn(n, k)) for n in range(max_n + 1)]
         return header, rows, {"max_n": max_n, "k": k}
     # scriptB
-    m, l, n = opts.get("m"), opts.get("l"), opts.get("n")
+    m, l, n = args.m, args.l, args.n
     if m is None or l is None or n is None:
         raise UsageError("table scriptB requires --m, --l and --n")
     if min(m, l, n) < 0:
@@ -175,15 +164,15 @@ def _table_rows(config: CliConfig):
     return header, rows, {"m": m, "l": l, "n": n}
 
 
-def _table_document(config: CliConfig) -> str:
-    header, rows, params = _table_rows(config)
-    if config.fmt == "csv":
+def _table_document(args: argparse.Namespace) -> str:
+    header, rows, params = _table_rows(args)
+    if args.format == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_render(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
-    if config.fmt == "json":
+    if args.format == "json":
         doc = {
-            "sequence": config.target,
+            "sequence": args.sequence,
             "params": params,
             "header": list(header),
             "rows": [[_json_value(v) for v in row] for row in rows],
@@ -204,21 +193,20 @@ def _table_document(config: CliConfig) -> str:
 # expand
 
 
-def _expand_series(config: CliConfig):
-    name = config.target
-    opts = config.options
-    order = opts["order"]
+def _expand_series(args: argparse.Namespace):
+    name = args.function
+    order = args.order
     if order < 0:
         raise UsageError("--order must be non-negative")
     if name in ("egf-B", "egf-C", "egf-poly"):
-        k = opts.get("k")
+        k = args.k
         if k is None:
             raise UsageError(f"expand {name} requires --k")
         if name == "egf-B":
             return egf_poly_bernoulli_B(k, order), ("t",), {"k": k, "order": order}
         if name == "egf-C":
             return egf_poly_bernoulli_C(k, order), ("t",), {"k": k, "order": order}
-        raw = opts.get("x")
+        raw = args.x
         if raw is None:
             raise UsageError("expand egf-poly requires --x (a rational such as 1/2)")
         try:
@@ -228,7 +216,7 @@ def _expand_series(config: CliConfig):
         series = egf_poly_bernoulli_polynomial(k, x, order)
         return series, ("t",), {"k": k, "x": format_rational(x), "order": order}
     if name == "egf-scriptB":
-        n = opts.get("n")
+        n = args.n
         if n is None:
             raise UsageError("expand egf-scriptB requires --n")
         if n < 0:
@@ -241,10 +229,8 @@ def _expand_series(config: CliConfig):
     return beta1_series(order), ("x",), {"order": order}
 
 
-def _expand_document(config: CliConfig) -> str:
-    if config.fmt != "json":
-        raise UsageError("expand emits JSON only; use --format json")
-    series, variables, params = _expand_series(config)
+def _expand_document(args: argparse.Namespace) -> str:
+    series, variables, params = _expand_series(args)
     if isinstance(series, Series1):
         coefficients = [[str(i), _render(series[i])] for i in range(series.order + 1)]
         orders = {variables[0]: series.order}
@@ -256,7 +242,7 @@ def _expand_document(config: CliConfig) -> str:
         ]
         orders = {variables[0]: series.order, variables[1]: series.order}
     doc = {
-        "generating_function": config.target,
+        "generating_function": args.function,
         "parameters": params,
         "variable_orders": orders,
         "coefficients": coefficients,
@@ -297,10 +283,14 @@ def _report_line(report: VerificationReport) -> str:
     )
 
 
-def _verify_reports(config: CliConfig) -> list[VerificationReport]:
+def _verify_reports(args: argparse.Namespace) -> list[VerificationReport]:
     # Each verify flag's dest is the identity parameter it sets.
-    overrides = {name: value for name, value in config.options.items() if value is not None}
-    if config.target == "all":
+    overrides = {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "identity", "format", "output") and value is not None
+    }
+    if args.identity == "all":
         per_identity = {
             identity_id: {
                 name: value
@@ -310,18 +300,18 @@ def _verify_reports(config: CliConfig) -> list[VerificationReport]:
             for identity_id in IDENTITY_IDS
         }
         return verify_all(per_identity)
-    return [verify_one(config.target, **overrides)]
+    return [verify_one(args.identity, **overrides)]
 
 
-def _verify_document(config: CliConfig) -> tuple[str, bool]:
-    reports = _verify_reports(config)
+def _verify_document(args: argparse.Namespace) -> tuple[str, bool]:
+    reports = _verify_reports(args)
     all_passed = all(r.passed for r in reports)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = [_report_json(r) for r in reports]
-        doc = payload[0] if config.target != "all" else payload
+        doc = payload[0] if args.identity != "all" else payload
         return json.dumps(doc, indent=2) + "\n", all_passed
     lines = [_report_line(r) for r in reports]
-    if config.target == "all":
+    if args.identity == "all":
         passed = sum(r.passed for r in reports)
         lines.append(f"{passed}/{len(reports)} identities verified")
     return "\n".join(lines) + "\n", all_passed
@@ -329,18 +319,6 @@ def _verify_document(config: CliConfig) -> tuple[str, bool]:
 
 # ---------------------------------------------------------------------------
 # driver
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    options = {
-        name: value
-        for name, value in vars(args).items()
-        if name not in ("command", "sequence", "function", "identity", "format", "output")
-    }
-    target = getattr(args, "sequence", None) or getattr(args, "function", None) or getattr(
-        args, "identity", None
-    )
-    return CliConfig(args.command, target, args.format, args.output, options)
 
 
 def _emit(document: str, output: Optional[str]) -> None:
@@ -357,16 +335,15 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    config = _config_from_args(args)
     try:
-        if config.command == "table":
-            document, failed = _table_document(config), False
-        elif config.command == "expand":
-            document, failed = _expand_document(config), False
+        if args.command == "table":
+            document, failed = _table_document(args), False
+        elif args.command == "expand":
+            document, failed = _expand_document(args), False
         else:
-            document, all_passed = _verify_document(config)
+            document, all_passed = _verify_document(args)
             failed = not all_passed
-        _emit(document, config.output)
+        _emit(document, args.output)
     except (UsageError, ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,39 @@ def _as_scalar(value):
     return NotImplemented
 
 
+def _inverse_terms(a, inv0, n) -> list:
+    """Coefficients e_0..e_n of 1/a, where inv0 = 1/a_0.
+
+    e_m = -inv0 * sum_{k=1..m} a_k e_{m-k}.  The a_k are scalars for Series1
+    (zeros skipped) and the Series1 rows of a Series2, where truncation to the
+    smaller order leaves e_m the total-degree width of its row.
+    """
+    e = [inv0]
+    for m in range(1, n + 1):
+        acc = 0
+        for k in range(1, m + 1):
+            if a[k]:
+                acc += a[k] * e[m - k]
+        e.append(-inv0 * acc)
+    return e
+
+
+def _exp_terms(a, e0, n) -> list:
+    """Coefficients e_0..e_n of exp(a), where e0 = exp(a_0).
+
+    m * e_m = sum_{k=1..m} k * a_k * e_{m-k}, from exp(a)' = a' * exp(a);
+    the a_k are scalars or rows as in _inverse_terms.
+    """
+    e = [e0]
+    for m in range(1, n + 1):
+        acc = 0
+        for k in range(1, m + 1):
+            if a[k]:
+                acc += k * a[k] * e[m - k]
+        e.append(acc * Fraction(1, m))
+    return e
+
+
 def _convolve(out, a, b, n) -> None:
     """Add the product of coefficient sequences a and b into out, up to index n."""
     for i in range(n + 1):
@@ -60,6 +93,22 @@ def _rsub(self, other):
 
 def _pow(self, exponent: int):
     return self.power(exponent)
+
+
+def _truncate(self, order: int):
+    if order > self.order:
+        raise ValueError("cannot extend a truncated series")
+    return type(self)(self.coeffs, order)  # both constructors cut to width
+
+
+def _eq(self, other) -> bool:
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return self.coeffs == other.coeffs  # the shape fixes the order
+
+
+def _hash(self):
+    return hash((self.order, self.coeffs))  # hash(n) == hash(Fraction(n))
 
 
 def _power(self, exponent: int):
@@ -123,20 +172,9 @@ class Series1:
             raise IndexError(f"exponent {exponent} beyond truncation order {self.order}")
         return self.coeffs[exponent]
 
-    def truncate(self, order: int) -> "Series1":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series1(self.coeffs[: order + 1], order)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.order, tuple(Fraction(c) for c in self.coeffs)))
+    truncate = _truncate
+    __eq__ = _eq
+    __hash__ = _hash
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -180,30 +218,13 @@ class Series1:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise DomainError("cannot invert a series with zero constant term")
-        inv0 = Fraction(1, 1) / a0
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = 0
-            for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if ak:
-                    acc += ak * out[n - k]
-            out.append(-inv0 * acc)
-        return Series1(out, self.order)
+        return Series1(_inverse_terms(self.coeffs, Fraction(1, 1) / a0, self.order), self.order)
 
     def exp(self) -> "Series1":
         """exp(self) via the recurrence f' = a'*f; needs zero constant term."""
         if self.coeffs[0] != 0:
             raise DomainError("exp needs a zero constant term")
-        out = [Fraction(1)]
-        for n in range(self.order):
-            acc = 0
-            for k in range(n + 1):
-                a = self.coeffs[k + 1]
-                if a:
-                    acc += (k + 1) * a * out[n - k]
-            out.append(Fraction(acc, n + 1) if isinstance(acc, int) else acc / (n + 1))
-        return Series1(out, self.order)
+        return Series1(_exp_terms(self.coeffs, Fraction(1), self.order), self.order)
 
     def derivative(self) -> "Series1":
         """Formal derivative; the order drops by one (floored at zero)."""
@@ -293,22 +314,9 @@ class Series2:
             )
         return self.coeffs[i][j]
 
-    def truncate(self, order: int) -> "Series2":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series2([row[: order - i + 1] for i, row in enumerate(self.coeffs[: order + 1])], order)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series2):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b
-            for ra, rb in zip(self.coeffs, other.coeffs)
-            for a, b in zip(ra, rb)
-        )
-
-    def __hash__(self):
-        return hash((self.order, tuple(tuple(map(Fraction, r)) for r in self.coeffs)))
+    truncate = _truncate
+    __eq__ = _eq
+    __hash__ = _hash
 
     def __repr__(self) -> str:
         return f"Series2(order={self.order}, constant={self.coeffs[0][0]})"
@@ -353,28 +361,21 @@ class Series2:
     __pow__ = _pow
     power = _power
 
+    def _rows(self) -> list:
+        """Row i (the coefficient of x**i) as a Series1 in y of order order - i."""
+        return [Series1(row, self.order - i) for i, row in enumerate(self.coeffs)]
+
     def inverse(self) -> "Series2":
-        """Inverse via the truncated geometric series in (1 - self/a0)."""
-        a0 = self.coeffs[0][0]
-        if a0 == 0:
-            raise DomainError("cannot invert a series with zero constant term")
-        inv0 = Fraction(1, 1) / a0
-        r = Series2.one(self.order) - self * inv0  # zero constant term
-        acc = Series2.one(self.order)
-        for _ in range(self.order):
-            acc = acc * r + 1
-        return acc * inv0
+        """Inverse, row by row in the first variable; needs a nonzero constant term."""
+        rows = self._rows()
+        terms = _inverse_terms(rows, rows[0].inverse(), self.order)
+        return Series2([t.coeffs for t in terms], self.order)
 
     def exp(self) -> "Series2":
-        """exp(self) as the truncated Taylor sum; needs zero constant term."""
-        if self.coeffs[0][0] != 0:
-            raise DomainError("exp needs a zero constant term")
-        acc = Series2.one(self.order)
-        term = Series2.one(self.order)
-        for i in range(1, self.order + 1):
-            term = term * self
-            acc = acc + term * Fraction(1, factorial(i))
-        return acc
+        """exp(self), row by row in the first variable; needs zero constant term."""
+        rows = self._rows()
+        terms = _exp_terms(rows, rows[0].exp(), self.order)
+        return Series2([t.coeffs for t in terms], self.order)
 
     def derivative(self, index: int) -> "Series2":
         """Partial derivative in variable 0 or 1; the order drops by one."""

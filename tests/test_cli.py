@@ -1,8 +1,10 @@
 """CLI layer: exit codes, document formats, determinism, error surfaces."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,7 +159,7 @@ def test_expand_f1_matches_bridge(capsys):
 
 def test_expand_is_json_only(capsys):
     code, _, err = run_cli(capsys, "expand", "g1", "--format", "csv")
-    assert code == 2 and "JSON" in err
+    assert code == 2 and "invalid choice: 'csv'" in err
 
 
 def test_expand_unknown_function(capsys):
@@ -289,3 +291,18 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[2] == "1,-1/2"
+
+
+def test_full_verification_script_runs_from_checkout():
+    # The README line: PYTHONPATH=src python3 scripts/run_full_verification.py
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "scripts/run_full_verification.py", "--quick"],
+        capture_output=True,
+        text=True,
+        check=False,
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "13/13 identities verified" in proc.stdout

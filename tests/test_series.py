@@ -48,6 +48,10 @@ def series2_any_order(draw):
     return Series2(rows, order)
 
 
+unit2 = series2_any_order().filter(lambda s: s.constant_term != 0)
+nilpotent2 = series2_any_order().map(lambda s: s - s.constant_term)
+
+
 # ---------------------------------------------------------------------------
 # construction and access
 
@@ -71,6 +75,10 @@ def test_equality_requires_same_order():
     assert Series2.one(3) != Series2.one(4)
     # hash consistency across int/Fraction coefficient spellings
     assert hash(Series1([1, Fraction(1, 2)], 2)) == hash(Series1([Fraction(1), Fraction(2, 4)], 2))
+    assert hash(Series2([[1, Fraction(1, 2)], [3]], 1)) == hash(
+        Series2([[Fraction(1), Fraction(2, 4)], [Fraction(3)]], 1)
+    )
+    assert Series1.one(3) != Series2.one(3)
 
 
 def test_truncate():
@@ -153,6 +161,14 @@ def test_inverse_is_two_sided(a):
     assert inv * a == Series1.one(ORDER)
 
 
+@given(unit2)
+@settings(max_examples=40, deadline=None)
+def test_inverse_2d_is_two_sided(a):
+    inv = a.inverse()
+    assert a * inv == Series2.one(a.order)
+    assert inv * a == Series2.one(a.order)
+
+
 def test_geometric_series():
     inv = Series1([1, -1], 6).inverse()
     assert inv == Series1([1] * 7, 6)
@@ -177,6 +193,18 @@ def test_power_matches_repeated_multiplication(a, e):
 @given(nilpotent1, nilpotent1)
 @settings(max_examples=40, deadline=None)
 def test_exp_is_a_homomorphism(a, b):
+    assert (a + b).exp() == a.exp() * b.exp()
+
+
+@given(nilpotent1, st.sampled_from((0, 1)))
+@settings(max_examples=40, deadline=None)
+def test_exp_2d_matches_embedded_1d(s, index):
+    assert Series2.embed(s, index).exp() == Series2.embed(s.exp(), index)
+
+
+@given(nilpotent2, nilpotent2)
+@settings(max_examples=40, deadline=None)
+def test_exp_2d_is_a_homomorphism(a, b):
     assert (a + b).exp() == a.exp() * b.exp()
 
 
