@@ -6,13 +6,16 @@ single variable.  Series2 truncates by TOTAL degree: coefficients are kept
 for exponent pairs (i, j) with i + j <= order, stored as a triangular table.
 
 Every operation returns a fresh series (pure value semantics).  Binary
-operations truncate the result to the smaller operand order.
+operations truncate the result to the smaller operand order.  Products and
+Series1.inverse run on integer numerators over one common denominator per
+operand and reduce each output coefficient once, not once per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import islice
+from math import factorial, lcm
 
 _SCALARS = (int, Fraction)
 
@@ -58,6 +61,34 @@ def _exp_terms(a, e0, n) -> list:
                 acc += k * a[k] * e[m - k]
         e.append(acc * Fraction(1, m))
     return e
+
+
+def _numerators(coeffs):
+    """(ints, den) with coeffs[i] == ints[i] / den, den the lcm of the denominators.
+
+    An all-int sequence comes back as it is, with den 1.
+    """
+    for c in coeffs:
+        if type(c) is not int:
+            break
+    else:
+        return coeffs, 1
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _int_rows(rows, n):
+    """A triangle cut to total degree n as int rows over one common denominator."""
+    flat, den = _numerators([c for i in range(n + 1) for c in rows[i][: n - i + 1]])
+    it = iter(flat)
+    return [list(islice(it, n - i + 1)) for i in range(n + 1)], den
+
+
+def _over(ints, den) -> list:
+    """The reduced numbers ints[i] / den (ints themselves when den is 1)."""
+    if den == 1:
+        return ints
+    return [Fraction(v, den) if v else 0 for v in ints]
 
 
 def _convolve(out, a, b, n) -> None:
@@ -202,9 +233,11 @@ class Series1:
     def __mul__(self, other) -> "Series1":
         if isinstance(other, Series1):
             n = min(self.order, other.order)
+            a, da = _numerators(self.coeffs[: n + 1])
+            b, db = _numerators(other.coeffs[: n + 1])
             out = [0] * (n + 1)
-            _convolve(out, self.coeffs, other.coeffs, n)
-            return Series1(out, n)
+            _convolve(out, a, b, n)
+            return Series1(_over(out, da * db), n)
         if (s := _as_scalar(other)) is NotImplemented:
             return NotImplemented
         return Series1([c * s for c in self.coeffs], self.order)
@@ -215,10 +248,11 @@ class Series1:
 
     def inverse(self) -> "Series1":
         """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        if self.coeffs[0] == 0:
             raise DomainError("cannot invert a series with zero constant term")
-        return Series1(_inverse_terms(self.coeffs, Fraction(1, 1) / a0, self.order), self.order)
+        b, den = _numerators(self.coeffs)  # self = b / den, so 1/self = den / b
+        inv0 = b[0] if b[0] in (1, -1) else Fraction(1, b[0])
+        return Series1([e * den for e in _inverse_terms(b, inv0, self.order)], self.order)
 
     def exp(self) -> "Series1":
         """exp(self) via the recurrence f' = a'*f; needs zero constant term."""
@@ -348,11 +382,13 @@ class Series2:
     def __mul__(self, other) -> "Series2":
         if isinstance(other, Series2):
             n = min(self.order, other.order)
+            a, da = _int_rows(self.coeffs, n)
+            b, db = _int_rows(other.coeffs, n)
             rows = [[0] * (n - i + 1) for i in range(n + 1)]
             for i1 in range(n + 1):
                 for i2 in range(n - i1 + 1):
-                    _convolve(rows[i1 + i2], self.coeffs[i1], other.coeffs[i2], n - i1 - i2)
-            return Series2(rows, n)
+                    _convolve(rows[i1 + i2], a[i1], b[i2], n - i1 - i2)
+            return Series2([_over(row, da * db) for row in rows], n)
         if (s := _as_scalar(other)) is NotImplemented:
             return NotImplemented
         return Series2([[c * s for c in row] for row in self.coeffs], self.order)

@@ -10,6 +10,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polybern import identities as idn
 from polybern.identities import (
@@ -172,6 +174,17 @@ def test_remainder_sample_mode_custom_points():
 def test_remainder_sample_mode_rejects_poles(x, factor):
     with pytest.raises(DomainError, match=re.escape(factor)):
         verify_one("funceq-remainder", n=4, mode="sample", points=(x,))
+
+
+@given(st.integers(-12, 12), st.integers(1, 12), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_remainder_sample_mode_passes_or_raises_domain_error(p, q, n):
+    # a pole of the identity must surface as DomainError, never ZeroDivisionError
+    try:
+        report = verify_one("funceq-remainder", n=n, mode="sample", points=(Fraction(p, q),))
+    except DomainError:
+        return
+    assert report.passed
 
 
 def test_remainder_series_valuation():

@@ -1,7 +1,7 @@
 """Truncated exact power-series engine: ring laws, analytic ops, truncation."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -39,13 +39,27 @@ series2 = st.lists(coeff, min_size=n2, max_size=n2).map(random_series2)
 
 
 @st.composite
-def series2_any_order(draw):
+def series2_any_order(draw, coeffs=coeff):
     order = draw(st.integers(0, ORDER))
     rows = [
-        draw(st.lists(coeff, min_size=order - i + 1, max_size=order - i + 1))
+        draw(st.lists(coeffs, min_size=order - i + 1, max_size=order - i + 1))
         for i in range(order + 1)
     ]
     return Series2(rows, order)
+
+
+# Coefficients for the integer-numerator product kernel: plain ints, the small
+# fractions above, and fractions whose denominators (up to 10**6) make the
+# common denominator of an operand large.
+int_coeff = st.integers(-50, 50)
+big_coeff = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+kernel_coeff = st.one_of(int_coeff, coeff, big_coeff)
+
+
+@st.composite
+def series1_any_order(draw, coeffs=kernel_coeff):
+    order = draw(st.integers(0, ORDER))
+    return Series1(draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1)), order)
 
 
 unit2 = series2_any_order().filter(lambda s: s.constant_term != 0)
@@ -140,6 +154,57 @@ def test_mul_2d_matches_schoolbook_convolution(a, b):
     prod = a * b
     assert prod.order == n
     assert prod == Series2(expected, n)
+
+
+@given(series1_any_order(), series1_any_order())
+@settings(max_examples=40, deadline=None)
+def test_mul_exact_for_large_denominators(a, b):
+    n = min(a.order, b.order)
+    prod = a * b
+    assert prod.order == n
+    for m in range(n + 1):
+        assert prod[m] == sum(a[k] * b[m - k] for k in range(m + 1))
+
+
+@given(series2_any_order(kernel_coeff), series2_any_order(kernel_coeff))
+@settings(max_examples=40, deadline=None)
+def test_mul_2d_exact_for_large_denominators(a, b):
+    n = min(a.order, b.order)
+    prod = a * b
+    for i in range(n + 1):
+        for j in range(n - i + 1):
+            assert prod[i, j] == sum(
+                a[i1, j1] * b[i - i1, j - j1] for i1 in range(i + 1) for j1 in range(j + 1)
+            )
+
+
+@given(
+    series1_any_order(int_coeff),
+    series1_any_order(int_coeff),
+    series2_any_order(int_coeff),
+    series2_any_order(int_coeff),
+)
+@settings(max_examples=40, deadline=None)
+def test_mul_of_int_operands_stays_int(a, b, c, d):
+    assert all(type(x) is int for x in (a * b).coeffs)
+    assert all(type(x) is int for row in (c * d).coeffs for x in row)
+
+
+@given(
+    st.lists(kernel_coeff, min_size=0, max_size=ORDER),
+    st.sampled_from((1, -1, Fraction(3, 7), Fraction(-5, 2), 4)),
+)
+@settings(max_examples=40, deadline=None)
+def test_inverse_exact_for_unit_and_nonunit_scaled_constant(tail, lead):
+    # lead = ±1 becomes ±1/L, with L the common denominator of the tail, so the
+    # constant term scaled to integer numerators is ±1; the other leads are not.
+    if lead in (1, -1):
+        lead = Fraction(lead, lcm(*(c.denominator for c in tail)))
+    a = Series1([lead, *tail], len(tail))
+    inv = a.inverse()
+    assert inv[0] == 1 / lead
+    assert a * inv == Series1.one(a.order)
+    assert inv * a == Series1.one(a.order)
 
 
 def test_mul_truncates_to_min_order():
