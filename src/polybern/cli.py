@@ -7,10 +7,10 @@ Three subcommands::
     polybern verify ID|all [--order N] [--max-l L] [--max-m M] [--max-n N]
                            [--n N] [--r R] [--mode series|sample]
 
-plus ``--format csv|json|text`` and ``--output FILE`` everywhere it makes
-sense.  Exit codes: 0 success / all identities pass, 1 at least one identity
-failed, 2 usage or parameter error.  Output is byte-deterministic for a
-fixed command line.
+plus ``--format`` (table ``csv|json|text``, expand ``json``, verify
+``json|text``) and ``--output FILE`` on each.  Exit codes: 0 success / all
+identities pass, 1 at least one identity failed, 2 usage or parameter error.
+Output is byte-deterministic for a fixed command line.
 """
 
 from __future__ import annotations

@@ -137,11 +137,11 @@ def q_series(j: int, order: int, route: str = "rational") -> Series1:
     return Series1.monomial(1, j, order) * denom.inverse()
 
 
-def ogf_series(n: int, order: int, route: str = "rational") -> Series2:
+def ogf_series(n: int, order: int) -> Series2:
     """sum_j j!(j+n)! Q_j(x) Q_j(y) with ordinary (non-EGF) coefficients."""
     acc = Series2.zero(order)
     for j in range(order + 1):
-        qj = q_series(j, order, route)
+        qj = q_series(j, order)
         acc = acc + product_xy(qj, qj) * (factorial(j) * factorial(j + n))
     return acc
 
@@ -333,7 +333,7 @@ def verify_ogf(n: int = 4, order: int = 14, *, mutate_at=None) -> VerificationRe
                 ("part", "q-route"),
                 ("j", j),
             )
-        series = ogf_series(n, order, "rational")
+        series = ogf_series(n, order)
         for l in range(order + 1):
             for m in range(order - l + 1):
                 yield (
@@ -648,13 +648,17 @@ REGISTRY: dict[str, IdentityEntry] = {
 IDENTITY_IDS = tuple(REGISTRY)
 
 
-def verify_one(identity_id: str, **overrides) -> VerificationReport:
-    """Run a single registered identity check with parameter overrides."""
+def _registered(identity_id: str) -> IdentityEntry:
     if identity_id not in REGISTRY:
         raise ParameterError(
             f"unknown identity {identity_id!r}; valid ids: {', '.join(IDENTITY_IDS)}"
         )
-    entry = REGISTRY[identity_id]
+    return REGISTRY[identity_id]
+
+
+def verify_one(identity_id: str, **overrides) -> VerificationReport:
+    """Run a single registered identity check with parameter overrides."""
+    entry = _registered(identity_id)
     kwargs = dict(entry.defaults)
     for name, value in overrides.items():
         if name not in kwargs:
@@ -673,10 +677,7 @@ def verify_all(config: Optional[dict] = None) -> list[VerificationReport]:
     """
     config = dict(config or {})
     for identity_id in config:
-        if identity_id not in REGISTRY:
-            raise ParameterError(
-                f"unknown identity {identity_id!r}; valid ids: {', '.join(IDENTITY_IDS)}"
-            )
+        _registered(identity_id)
     return [
         verify_one(identity_id, **config.get(identity_id, {}))
         for identity_id in IDENTITY_IDS

@@ -47,12 +47,10 @@ class RationalPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(Fraction(c) for c in self.coeffs))
+        return hash(self.coeffs)  # hash(n) == hash(Fraction(n))
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({list(self.coeffs)!r})"

@@ -3,7 +3,9 @@
 Coefficients are exact numbers (int or Fraction); exponents above the
 truncation order are discarded, never approximated.  Series1 is dense in a
 single variable.  Series2 truncates by TOTAL degree: coefficients are kept
-for exponent pairs (i, j) with i + j <= order, stored as a triangular table.
+for exponent pairs (i, j) with i + j <= order, stored as Series1 rows (row i
+of order order - i), so every bivariate operation but the product is the
+Series1 operation on its rows.
 
 Every operation returns a fresh series (pure value semantics).  Binary
 operations truncate the result to the smaller operand order.  Products and
@@ -78,8 +80,8 @@ def _numerators(coeffs):
 
 
 def _int_rows(rows, n):
-    """A triangle cut to total degree n as int rows over one common denominator."""
-    flat, den = _numerators([c for i in range(n + 1) for c in rows[i][: n - i + 1]])
+    """Series1 rows cut to total degree n as int rows over one common denominator."""
+    flat, den = _numerators([c for i in range(n + 1) for c in rows[i].coeffs[: n - i + 1]])
     it = iter(flat)
     return [list(islice(it, n - i + 1)) for i in range(n + 1)], den
 
@@ -290,22 +292,29 @@ class Series1:
 
 
 class Series2:
-    """Bivariate truncation by total degree: coeffs[i][j] kept for i + j <= order."""
+    """Bivariate truncation by total degree, stored as Series1 rows.
 
-    __slots__ = ("order", "coeffs")
+    rows[i] is the coefficient of x**i, a Series1 in y of order order - i, so
+    coeffs[i][j] (the coefficient of x**i y**j) is kept for i + j <= order.
+    """
+
+    __slots__ = ("order", "rows")
 
     def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("order must be non-negative")
-        rows = []
-        for i in range(order + 1):
-            width = order - i + 1
-            row = list(coeffs[i]) if i < len(coeffs) else []
-            if len(row) < width:
-                row.extend([0] * (width - len(row)))
-            rows.append(tuple(row[:width]))
         self.order = order
-        self.coeffs = tuple(rows)
+        self.rows = tuple(
+            Series1(coeffs[i] if i < len(coeffs) else (), order - i) for i in range(order + 1)
+        )
+
+    @classmethod
+    def _of_rows(cls, rows) -> "Series2":
+        """The series whose row i is rows[i], already of order len(rows) - 1 - i."""
+        s = cls.__new__(cls)
+        s.rows = tuple(rows)
+        s.order = len(s.rows) - 1
+        return s
 
     zero = classmethod(_zero)
     one = classmethod(_one)
@@ -317,11 +326,7 @@ class Series2:
     @classmethod
     def variable(cls, index: int, order: int) -> "Series2":
         """The coordinate series: index 0 is the first variable, 1 the second."""
-        if index == 0:
-            return cls([[0], [1]], order) if order >= 1 else cls.zero(order)
-        if index == 1:
-            return cls([[0, 1]], order) if order >= 1 else cls.zero(order)
-        raise ValueError("variable index must be 0 or 1")
+        return cls.embed(Series1.variable(order), index)
 
     @classmethod
     def embed(cls, series: Series1, index: int, order: int | None = None) -> "Series2":
@@ -337,8 +342,13 @@ class Series2:
         raise ValueError("variable index must be 0 or 1")
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a triangle of row tuples: coeffs[i][j] for i + j <= order."""
+        return tuple(r.coeffs for r in self.rows)
+
+    @property
     def constant_term(self):
-        return self.coeffs[0][0]
+        return self.rows[0].coeffs[0]
 
     def __getitem__(self, exponents):
         i, j = exponents
@@ -346,30 +356,21 @@ class Series2:
             raise IndexError(
                 f"exponent pair ({i}, {j}) beyond truncation order {self.order}"
             )
-        return self.coeffs[i][j]
+        return self.rows[i].coeffs[j]
 
     truncate = _truncate
     __eq__ = _eq
     __hash__ = _hash
 
     def __repr__(self) -> str:
-        return f"Series2(order={self.order}, constant={self.coeffs[0][0]})"
+        return f"Series2(order={self.order}, constant={self.constant_term})"
 
     def __add__(self, other) -> "Series2":
         if isinstance(other, Series2):
-            n = min(self.order, other.order)
-            return Series2(
-                [
-                    [self.coeffs[i][j] + other.coeffs[i][j] for j in range(n - i + 1)]
-                    for i in range(n + 1)
-                ],
-                n,
-            )
+            return Series2._of_rows(a + b for a, b in zip(self.rows, other.rows))
         if (s := _as_scalar(other)) is NotImplemented:
             return NotImplemented
-        rows = [list(r) for r in self.coeffs]
-        rows[0][0] += s
-        return Series2(rows, self.order)
+        return Series2._of_rows((self.rows[0] + s, *self.rows[1:]))
 
     __radd__ = __add__
 
@@ -377,13 +378,13 @@ class Series2:
     __rsub__ = _rsub
 
     def __neg__(self) -> "Series2":
-        return Series2([[-c for c in row] for row in self.coeffs], self.order)
+        return Series2._of_rows(-r for r in self.rows)
 
     def __mul__(self, other) -> "Series2":
         if isinstance(other, Series2):
             n = min(self.order, other.order)
-            a, da = _int_rows(self.coeffs, n)
-            b, db = _int_rows(other.coeffs, n)
+            a, da = _int_rows(self.rows, n)
+            b, db = _int_rows(other.rows, n)
             rows = [[0] * (n - i + 1) for i in range(n + 1)]
             for i1 in range(n + 1):
                 for i2 in range(n - i1 + 1):
@@ -391,46 +392,29 @@ class Series2:
             return Series2([_over(row, da * db) for row in rows], n)
         if (s := _as_scalar(other)) is NotImplemented:
             return NotImplemented
-        return Series2([[c * s for c in row] for row in self.coeffs], self.order)
+        return Series2._of_rows(r * s for r in self.rows)
 
     __rmul__ = __mul__
     __pow__ = _pow
     power = _power
 
-    def _rows(self) -> list:
-        """Row i (the coefficient of x**i) as a Series1 in y of order order - i."""
-        return [Series1(row, self.order - i) for i, row in enumerate(self.coeffs)]
-
     def inverse(self) -> "Series2":
         """Inverse, row by row in the first variable; needs a nonzero constant term."""
-        rows = self._rows()
-        terms = _inverse_terms(rows, rows[0].inverse(), self.order)
-        return Series2([t.coeffs for t in terms], self.order)
+        return Series2._of_rows(_inverse_terms(self.rows, self.rows[0].inverse(), self.order))
 
     def exp(self) -> "Series2":
         """exp(self), row by row in the first variable; needs zero constant term."""
-        rows = self._rows()
-        terms = _exp_terms(rows, rows[0].exp(), self.order)
-        return Series2([t.coeffs for t in terms], self.order)
+        return Series2._of_rows(_exp_terms(self.rows, self.rows[0].exp(), self.order))
 
     def derivative(self, index: int) -> "Series2":
         """Partial derivative in variable 0 or 1; the order drops by one."""
         if self.order == 0:
             return Series2.zero(0)
-        n = self.order - 1
         if index == 0:
-            rows = [
-                [(i + 1) * self.coeffs[i + 1][j] for j in range(n - i + 1)]
-                for i in range(n + 1)
-            ]
-        elif index == 1:
-            rows = [
-                [(j + 1) * self.coeffs[i][j + 1] for j in range(n - i + 1)]
-                for i in range(n + 1)
-            ]
-        else:
-            raise ValueError("variable index must be 0 or 1")
-        return Series2(rows, n)
+            return Series2._of_rows(r * i for i, r in enumerate(self.rows[1:], 1))
+        if index == 1:
+            return Series2._of_rows(r.derivative() for r in self.rows[:-1])
+        raise ValueError("variable index must be 0 or 1")
 
 
 def product_xy(sx: Series1, sy: Series1, order: int | None = None) -> Series2:

@@ -189,5 +189,10 @@ def test_rational_polynomial_basics():
     assert p(2) == Fraction(25, 2)
     assert p == RationalPolynomial([Fraction(1, 2), 0, 3, 0])
     assert hash(p) == hash(RationalPolynomial([Fraction(1, 2), 0, 3]))
+    # int and Fraction spellings of the same polynomial are equal, hash equal
+    q = RationalPolynomial([1, 2])
+    spelled = RationalPolynomial([Fraction(1), Fraction(4, 2)])
+    assert q == spelled and hash(q) == hash(spelled)
+    assert q != RationalPolynomial([1, 2, 3])
     zero = RationalPolynomial([])
     assert zero.degree == 0 and zero(5) == 0

@@ -79,8 +79,13 @@ def test_constructors_and_getitem():
     assert Series1.variable(3) == Series1([0, 1], 3)
     t = Series2.variable(1, 3)
     assert t[0, 1] == 1 and t[1, 0] == 0
+    assert t.rows == (Series1([0, 1], 3), Series1.zero(2), Series1.zero(1), Series1.zero(0))
+    assert t.coeffs == ((0, 1, 0, 0), (0, 0, 0), (0, 0), (0,))
     with pytest.raises(IndexError):
         t[2, 2]
+    assert Series2.variable(0, 0) == Series2.zero(0)
+    with pytest.raises(ValueError):
+        Series2.variable(2, 3)
 
 
 def test_equality_requires_same_order():
@@ -154,6 +159,33 @@ def test_mul_2d_matches_schoolbook_convolution(a, b):
     prod = a * b
     assert prod.order == n
     assert prod == Series2(expected, n)
+
+
+def assert_coefficients_2d(result, order, formula):
+    assert result.order == order
+    for i in range(order + 1):
+        for j in range(order - i + 1):
+            assert result[i, j] == formula(i, j), (i, j)
+
+
+@given(series2_any_order(), series2_any_order(), st.one_of(int_coeff, coeff))
+@settings(max_examples=40, deadline=None)
+def test_linear_ops_2d_match_coefficient_formulas(a, b, s):
+    def at_origin(i, j):
+        return s if (i, j) == (0, 0) else 0
+
+    n = min(a.order, b.order)
+    assert_coefficients_2d(a + b, n, lambda i, j: a[i, j] + b[i, j])
+    assert_coefficients_2d(-a, a.order, lambda i, j: -a[i, j])
+    assert_coefficients_2d(a * s, a.order, lambda i, j: a[i, j] * s)
+    assert_coefficients_2d(a + s, a.order, lambda i, j: a[i, j] + at_origin(i, j))
+    assert_coefficients_2d(s - a, a.order, lambda i, j: at_origin(i, j) - a[i, j])
+    if a.order == 0:
+        assert a.derivative(0) == a.derivative(1) == Series2.zero(0)
+    else:
+        m = a.order - 1
+        assert_coefficients_2d(a.derivative(0), m, lambda i, j: (i + 1) * a[i + 1, j])
+        assert_coefficients_2d(a.derivative(1), m, lambda i, j: (j + 1) * a[i, j + 1])
 
 
 @given(series1_any_order(), series1_any_order())
