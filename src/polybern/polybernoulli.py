@@ -2,8 +2,9 @@
 
 Two independent computation routes are provided on purpose:
 
-* closed-form / recursive routes built on Stirling numbers (fast, the
-  default for scalar queries), and
+* closed-form routes on integers, built on Stirling numbers and, for
+  Bernoulli and Genocchi numbers, on tangent numbers (fast, the default
+  for scalar queries), and
 * generating-function routes built on truncated exact power series
   (`egf_*` builders), which the test-suite and the identity checker use
   as cross-checks.
@@ -17,9 +18,9 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .combinatorics import stirling_first, stirling_second
+from .combinatorics import _FIRST, _SECOND
 from .series import Series1, polylog_over_argument
 
 
@@ -56,61 +57,103 @@ class RationalPolynomial:
         return f"RationalPolynomial({list(self.coeffs)!r})"
 
 
-_bern_cache: list[Fraction] = [Fraction(1)]
-_bern_lock = threading.Lock()
+# Bernoulli and Genocchi numbers, indexed by n, grown together under one lock.
+_bernoulli_table: list[Fraction] = []
+_genocchi_table: list[int] = []
+_tables_lock = threading.Lock()
+
+
+def _tangent_numbers(m: int) -> list[int]:
+    """[0, T_1, ..., T_m], where tan x = sum of T_k x^(2k-1) / (2k-1)!.
+
+    Brent and Harvey's all-int O(m^2) recurrence (Fast computation of
+    Bernoulli, Tangent and Secant numbers, arXiv:1108.0286).
+    """
+    t = [0, 1]
+    for k in range(2, m + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _grow_tables(n: int) -> None:
+    # Double the capacity, as StirlingTable does, so that queries 0, 1, 2, ...
+    # recompute the tangent numbers only O(log n) times.
+    size = len(_bernoulli_table)
+    target = max(n, 2 * (size - 1))
+    tangent = _tangent_numbers(target // 2)
+    zero = Fraction(0)
+    for i in range(size, target + 1):
+        if i < 2:
+            b, g = (Fraction(1), Fraction(-1, 2))[i], i
+        elif i % 2:
+            b, g = zero, 0
+        else:
+            k = i // 2
+            # G_2k = (-1)^k k T_k / 4^(k-1), and B_n = G_n / (2 (1 - 2^n)).
+            g = (-1) ** k * k * tangent[k] // 4 ** (k - 1)
+            b = Fraction(g, 2 * (1 - 4**k))
+        _bernoulli_table.append(b)
+        _genocchi_table.append(g)
+
+
+def _table_entry(table: list, n: int):
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    if n >= len(table):
+        with _tables_lock:
+            if n >= len(table):
+                _grow_tables(n)
+    return table[n]
 
 
 def bernoulli(n: int) -> Fraction:
     """The n-th Bernoulli number, with bernoulli(1) == -1/2."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if n >= len(_bern_cache):
-        with _bern_lock:
-            for m in range(len(_bern_cache), n + 1):
-                acc = Fraction(0)
-                for j in range(m):
-                    acc += comb(m + 1, j) * _bern_cache[j]
-                _bern_cache.append(-acc / (m + 1))
-    return _bern_cache[n]
+    return _table_entry(_bernoulli_table, n)
 
 
 def genocchi(n: int) -> int:
     """The n-th Genocchi number 2*(1 - 2**n)*bernoulli(n); always an integer."""
-    value = 2 * (1 - 2**n) * bernoulli(n)
-    if value.denominator != 1:
-        raise AssertionError(f"Genocchi value at {n} is not integral: {value}")
-    return value.numerator
+    return _table_entry(_genocchi_table, n)
+
+
+@cache
+def _stirling_vector(m: int, n: int) -> tuple[int, ...]:
+    """v[q-1] = (q-1)! sum_i (-1)^(m+n+q-i-1) [n i] {m+i, n+q-1}, q = 1..m+1.
+
+    The part of poly_bernoulli_at_integer(m, k, n) that does not depend on k.
+    """
+    first = _FIRST.row(n)
+    signed = [-c if i % 2 else c for i, c in enumerate(first)]
+    second = [_SECOND.row(m + i) for i in range(n + 1)]
+    vector = []
+    weight = -1 if (m + n) % 2 else 1  # (-1)^(m+n+q-1) (q-1)!
+    for q in range(1, m + 2):
+        j = n + q - 1
+        inner = sum(signed[i] * second[i][j] for i in range(max(0, j - m), n + 1))
+        vector.append(weight * inner)
+        weight *= -q
+    return tuple(vector)
 
 
 @cache
 def poly_bernoulli_at_integer(m: int, k: int, n: int):
     """The degree-m poly-Bernoulli polynomial of order k evaluated at integer n.
 
-    Computed by the finite double sum over Stirling numbers of both kinds;
+    The finite double sum over Stirling numbers of both kinds, as the dot
+    product of the cached k-free vector _stirling_vector(m, n) with q^(-k);
     the n = 0 column gives the B-type numbers and n = 1 the C-type numbers.
-    Returns an int when k <= 0, a Fraction otherwise.
+    Returns an int when k <= 0, a Fraction over lcm(1..m+1)^k otherwise.
     """
     if m < 0 or n < 0:
         raise ValueError("degree and evaluation point must be non-negative")
-    acc = 0
-    for q in range(1, m + 2):
-        if k > 0:
-            weight = Fraction(factorial(q - 1), q**k)
-        else:
-            weight = factorial(q - 1) * q ** (-k)
-        for i in range(n + 1):
-            s1 = stirling_first(n, i)
-            if not s1:
-                continue
-            s2 = stirling_second(m + i, n + q - 1)
-            if not s2:
-                continue
-            term = weight * s1 * s2
-            if (m + n + q - i - 1) % 2:
-                acc -= term
-            else:
-                acc += term
-    return acc
+    vector = _stirling_vector(m, n)
+    if k <= 0:
+        return sum(v * q**-k for q, v in enumerate(vector, 1))
+    base = lcm(*range(1, m + 2))
+    return Fraction(sum(v * (base // q) ** k for q, v in enumerate(vector, 1)), base**k)
 
 
 def poly_bernoulli_B(n: int, k: int):
@@ -130,7 +173,9 @@ def poly_bernoulli_polynomial(n: int, k: int) -> RationalPolynomial:
 
 def poly_bernoulli_C(n: int, k: int):
     """C-type poly-Bernoulli number: the polynomial evaluated at one."""
-    return poly_bernoulli_polynomial(n, k)(1)
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    return poly_bernoulli_at_integer(n, k, 1)
 
 
 def script_B_def(m: int, l: int, n: int):
@@ -142,26 +187,23 @@ def script_B_def(m: int, l: int, n: int):
     if m < 0 or l < 0 or n < 0:
         raise ValueError("all three indices must be non-negative")
     return sum(
-        stirling_first(n, j) * poly_bernoulli_at_integer(m, -l - j, n)
-        for j in range(n + 1)
+        s * poly_bernoulli_at_integer(m, -l - j, n) for j, s in enumerate(_FIRST.row(n))
     )
 
 
 @cache
 def script_B_closed(m: int, l: int, n: int) -> int:
-    """Closed form of script_B_def as a single positive sum; always an integer."""
+    """Closed form of script_B_def as a single positive sum; always an integer.
+
+    sum over j of j! (j+n)! {l+1, j+1} {m+1, j+1}.
+    """
     if m < 0 or l < 0 or n < 0:
         raise ValueError("all three indices must be non-negative")
-    n_fact = factorial(n)
-    acc = 0
+    row_l, row_m = _SECOND.row(l + 1), _SECOND.row(m + 1)
+    acc, weight = 0, factorial(n)  # weight = j! (j+n)!
     for j in range(min(l, m) + 1):
-        acc += (
-            n_fact
-            * factorial(j) ** 2
-            * comb(j + n, n)
-            * stirling_second(l + 1, j + 1)
-            * stirling_second(m + 1, j + 1)
-        )
+        acc += weight * row_l[j + 1] * row_m[j + 1]
+        weight *= (j + 1) * (j + n + 1)
     return acc
 
 

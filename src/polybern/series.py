@@ -408,13 +408,13 @@ class Series2:
 
     def derivative(self, index: int) -> "Series2":
         """Partial derivative in variable 0 or 1; the order drops by one."""
+        if index not in (0, 1):
+            raise ValueError("variable index must be 0 or 1")
         if self.order == 0:
             return Series2.zero(0)
         if index == 0:
             return Series2._of_rows(r * i for i, r in enumerate(self.rows[1:], 1))
-        if index == 1:
-            return Series2._of_rows(r.derivative() for r in self.rows[:-1])
-        raise ValueError("variable index must be 0 or 1")
+        return Series2._of_rows(r.derivative() for r in self.rows[:-1])
 
 
 def product_xy(sx: Series1, sy: Series1, order: int | None = None) -> Series2:

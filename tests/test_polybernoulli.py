@@ -6,14 +6,17 @@ they share no code path with the Stirling double sum.
 """
 
 import re
+import subprocess
+import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polybern.combinatorics import stirling_first, stirling_second
 from polybern.polybernoulli import (
     RationalPolynomial,
     bernoulli,
@@ -59,6 +62,49 @@ def test_bernoulli_oracle():
 def test_genocchi_oracle():
     assert [genocchi(n) for n in range(12)] == GENOCCHI_ORACLE
     assert all(isinstance(genocchi(n), int) for n in range(12))
+
+
+def bernoulli_by_recurrence(n):
+    """B_0..B_n from sum_{j<=m} C(m+1, j) B_j = 0, one Fraction at a time."""
+    values = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += comb(m + 1, j) * values[j]
+        values.append(-acc / (m + 1))
+    return values
+
+
+def test_tangent_route_matches_bernoulli_recurrence():
+    expected = bernoulli_by_recurrence(300)
+    for n, value in enumerate(expected):
+        got = bernoulli(n)
+        assert type(got) is Fraction and got == value, n
+        g = genocchi(n)
+        assert type(g) is int and g == 2 * (1 - 2**n) * value, n
+    with pytest.raises(ValueError):
+        genocchi(-1)
+
+
+def test_tables_grow_from_cold_in_any_order():
+    # A fresh process, so the tables start empty and grow by doubling from
+    # whichever index comes first.
+    indices = [5, 300, 37, 0, 1, 2, 301, 3]
+    code = (
+        "import sys\n"
+        "from polybern import bernoulli, genocchi\n"
+        "for n in map(int, sys.argv[1:]):\n"
+        "    print(repr(bernoulli(n)), genocchi(n))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, indices)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    expected = bernoulli_by_recurrence(max(indices))
+    lines = proc.stdout.splitlines()
+    assert lines == [f"{expected[n]!r} {2 * (1 - 2**n) * expected[n]}" for n in indices]
 
 
 def test_classical_egfs_extract_back():
@@ -148,6 +194,36 @@ def test_polynomial_interpolates_both_flavors():
             assert p(0) == poly_bernoulli_B(n, k)
             assert p(1) == poly_bernoulli_C(n, k)
             assert p.degree == n
+
+
+def at_integer_by_double_sum(m, k, n):
+    """The Stirling double sum, one Stirling lookup per term."""
+    acc = 0
+    for q in range(1, m + 2):
+        weight = Fraction(factorial(q - 1), q**k) if k > 0 else factorial(q - 1) * q ** (-k)
+        for i in range(n + 1):
+            term = weight * stirling_first(n, i) * stirling_second(m + i, n + q - 1)
+            acc += -term if (m + n + q - i - 1) % 2 else term
+    return acc
+
+
+def test_stirling_vector_route_matches_double_sum():
+    for m in range(13):
+        for n in range(5):
+            for k in range(-6, 5):
+                got = poly_bernoulli_at_integer(m, k, n)
+                assert type(got) is (Fraction if k > 0 else int), (m, k, n)
+                assert got == at_integer_by_double_sum(m, k, n), (m, k, n)
+
+
+def test_c_numbers_match_polynomial_at_one():
+    for n in range(16):
+        for k in range(-8, 6):
+            got = poly_bernoulli_C(n, k)
+            expected = poly_bernoulli_polynomial(n, k)(1)
+            assert type(got) is type(expected) and got == expected, (n, k)
+    with pytest.raises(ValueError):
+        poly_bernoulli_C(-1, 0)
 
 
 def test_polynomial_at_integer_matches_double_sum():

@@ -334,6 +334,13 @@ def test_derivative_2d_mixed_partials_commute():
     assert s.derivative(0).order == 5
 
 
+@pytest.mark.parametrize("order", [0, 1, 4])
+@pytest.mark.parametrize("index", [-1, 2, 7])
+def test_derivative_2d_rejects_unknown_variable_at_every_order(order, index):
+    with pytest.raises(ValueError, match="variable index must be 0 or 1"):
+        Series2.zero(order).derivative(index)
+
+
 # ---------------------------------------------------------------------------
 # composition
 
