@@ -85,6 +85,7 @@ def _grow_tables(n: int) -> None:
     target = max(n, 2 * (size - 1))
     tangent = _tangent_numbers(target // 2)
     zero = Fraction(0)
+    b_new, g_new = [], []
     for i in range(size, target + 1):
         if i < 2:
             b, g = (Fraction(1), Fraction(-1, 2))[i], i
@@ -95,8 +96,12 @@ def _grow_tables(n: int) -> None:
             # G_2k = (-1)^k k T_k / 4^(k-1), and B_n = G_n / (2 (1 - 2^n)).
             g = (-1) ** k * k * tangent[k] // 4 ** (k - 1)
             b = Fraction(g, 2 * (1 - 4**k))
-        _bernoulli_table.append(b)
-        _genocchi_table.append(g)
+        b_new.append(b)
+        g_new.append(g)
+    # Extended only once complete, so a failure part way through cannot
+    # leave the two tables with different lengths.
+    _bernoulli_table.extend(b_new)
+    _genocchi_table.extend(g_new)
 
 
 def _table_entry(table: list, n: int):

@@ -107,6 +107,39 @@ def test_tables_grow_from_cold_in_any_order():
     assert lines == [f"{expected[n]!r} {2 * (1 - 2**n) * expected[n]}" for n in indices]
 
 
+def test_tables_grow_consistently_under_concurrent_queries():
+    # Cold tables in a fresh process and a short switch interval: six threads
+    # (more than the cores) grow and read both tables at once, half of them
+    # from the top index down and half from the bottom up.
+    code = (
+        "import sys, threading\n"
+        "from polybern import bernoulli, genocchi\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "out = {}\n"
+        "def work(w):\n"
+        "    ns = range(w, 241, 6)\n"
+        "    out[w] = [(n, bernoulli(n), genocchi(n)) for n in (ns[::-1] if w % 2 else ns)]\n"
+        "threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "print(sum(t.is_alive() for t in threads))\n"
+        "for w in sorted(out):\n"
+        "    for n, b, g in out[w]:\n"
+        "        print(n, repr(b), g)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    alive, *lines = proc.stdout.splitlines()
+    assert alive == "0"
+    expected = bernoulli_by_recurrence(240)
+    assert sorted(lines) == sorted(
+        f"{n} {expected[n]!r} {2 * (1 - 2**n) * expected[n]}" for n in range(241)
+    )
+
+
 def test_classical_egfs_extract_back():
     eb = egf_bernoulli(12)
     eg = egf_genocchi(12)
