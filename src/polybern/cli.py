@@ -325,8 +325,11 @@ def _emit(document: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(document)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(document)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def run(argv=None) -> int:

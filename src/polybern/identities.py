@@ -1,11 +1,14 @@
 """Mechanical verification of the library's identity inventory.
 
-Each ``verify_*`` function checks one identity family coefficient-by-
-coefficient (or value-by-value) over exact rationals and returns a
-:class:`VerificationReport`.  Checks stop at the first failing equality,
-reported with its lexicographically-least location.
+Each identity is a pair generator declared with
+``@_verifier(identity_id, **minimums)``: it takes the identity's parameters
+and returns the ``(location, lhs, rhs)`` equalities it compares over exact
+rationals, and ``minimums`` gives the least value of each integer parameter.
+The decorator registers it in :data:`REGISTRY` as the ``verify_*`` runner,
+which checks the minimums, reports the bound arguments as the parameters of
+its :class:`VerificationReport`, and stops at the first failing equality.
 
-Every verifier accepts a keyword-only ``mutate_at`` fault-injection hook:
+Every runner accepts a keyword-only ``mutate_at`` fault-injection hook:
 passing the location tuple of one checked equality adds 1 to that
 left-hand side, which must flip the report to failed.  The test-suite
 uses this to prove the checks are actually sensitive to every compared
@@ -17,7 +20,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from math import factorial
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -57,6 +60,16 @@ class VerificationReport:
     checked_count: int
 
 
+@dataclass(frozen=True)
+class IdentityEntry:
+    identity_id: str
+    runner: Callable[..., VerificationReport]
+    defaults: tuple  # ((name, value), ...) — kept immutable
+
+
+REGISTRY: dict[str, IdentityEntry] = {}
+
+
 def _run_pairs(
     identity_id: str,
     parameters: dict,
@@ -81,6 +94,40 @@ def _run_pairs(
     return VerificationReport(identity_id, parameters, True, None, checked)
 
 
+def _verifier(identity_id: str, **minimums: int):
+    """Make a pair generator the registered verifier of ``identity_id``.
+
+    The generator may instead return ``(parameters, pairs)`` when the
+    parameters to report are not simply its bound arguments.
+    """
+
+    def register(pairs_of: Callable[..., Iterable[CheckPair]]):
+        signature = inspect.signature(pairs_of)
+
+        @wraps(pairs_of)
+        def runner(*args, mutate_at=None, **kwargs) -> VerificationReport:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            for name, minimum in minimums.items():
+                _require_index(name, bound.arguments[name], minimum)
+            parameters = dict(bound.arguments)
+            pairs = pairs_of(*bound.args, **bound.kwargs)
+            if isinstance(pairs, tuple):
+                parameters, pairs = pairs
+            return _run_pairs(identity_id, parameters, pairs, mutate_at)
+
+        hook = inspect.Parameter("mutate_at", inspect.Parameter.KEYWORD_ONLY, default=None)
+        runner.__signature__ = signature.replace(
+            parameters=[*signature.parameters.values(), hook],
+            return_annotation="VerificationReport",
+        )
+        defaults = tuple((p.name, p.default) for p in signature.parameters.values())
+        REGISTRY[identity_id] = IdentityEntry(identity_id, runner, defaults)
+        return runner
+
+    return register
+
+
 def _coefficient_pairs(lhs, rhs, *prefix) -> Iterator[CheckPair]:
     """Pair the coefficients of two same-shape series, located after prefix."""
     if isinstance(lhs, Series1):
@@ -92,10 +139,9 @@ def _coefficient_pairs(lhs, rhs, *prefix) -> Iterator[CheckPair]:
             yield (*prefix, ("i", i), ("j", j)), lhs[i, j], rhs[i, j]
 
 
-def _require_index(name: str, value, minimum: int = 0) -> int:
+def _require_index(name: str, value, minimum: int = 0) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -273,220 +319,157 @@ def _guard_sample_point(x: Fraction, n: int) -> None:
 # Verifiers.
 
 
-def verify_duality(
-    max_l: int = 20, max_m: int = 20, max_n: int = 6, *, mutate_at=None
-) -> VerificationReport:
+@_verifier("duality", max_l=0, max_m=0, max_n=0)
+def verify_duality(max_l: int = 20, max_m: int = 20, max_n: int = 6) -> Iterator[CheckPair]:
     """script_B_def(m, l, n) = script_B_def(l, m, n) on the full index box."""
-    _require_index("max_l", max_l)
-    _require_index("max_m", max_m)
-    _require_index("max_n", max_n)
-    params = {"max_l": max_l, "max_m": max_m, "max_n": max_n}
-
-    def pairs() -> Iterator[CheckPair]:
-        for l in range(max_l + 1):
-            for m in range(max_m + 1):
-                for n in range(max_n + 1):
-                    yield (
-                        (("l", l), ("m", m), ("n", n)),
-                        script_B_def(m, l, n),
-                        script_B_def(l, m, n),
-                    )
-
-    return _run_pairs("duality", params, pairs(), mutate_at)
-
-
-def verify_egf(n: int = 4, order: int = 14, *, mutate_at=None) -> VerificationReport:
-    """EGF coefficients of n!e^{x+y}/(e^x+e^y-e^{x+y})^{n+1} vs script_B_closed."""
-    _require_index("n", n)
-    _require_index("order", order, 2)
-    params = {"n": n, "order": order}
-    series = egf_closed_form(n, order)
-
-    def pairs() -> Iterator[CheckPair]:
-        for l in range(order + 1):
-            for m in range(order - l + 1):
+    for l in range(max_l + 1):
+        for m in range(max_m + 1):
+            for n in range(max_n + 1):
                 yield (
-                    (("l", l), ("m", m)),
-                    egf_coefficient(series, (l, m)),
-                    script_B_closed(m, l, n),
+                    (("l", l), ("m", m), ("n", n)),
+                    script_B_def(m, l, n),
+                    script_B_def(l, m, n),
                 )
 
-    return _run_pairs("egf", params, pairs(), mutate_at)
+
+@_verifier("egf", n=0, order=2)
+def verify_egf(n: int = 4, order: int = 14) -> Iterator[CheckPair]:
+    """EGF coefficients of n!e^{x+y}/(e^x+e^y-e^{x+y})^{n+1} vs script_B_closed."""
+    series = egf_closed_form(n, order)
+    for l in range(order + 1):
+        for m in range(order - l + 1):
+            yield (
+                (("l", l), ("m", m)),
+                egf_coefficient(series, (l, m)),
+                script_B_closed(m, l, n),
+            )
 
 
-def verify_ogf(n: int = 4, order: int = 14, *, mutate_at=None) -> VerificationReport:
+@_verifier("ogf", n=0, order=1)
+def verify_ogf(n: int = 4, order: int = 14) -> Iterator[CheckPair]:
     """Ordinary coefficients of sum_j j!(j+n)! Q_j(x)Q_j(y) vs script_B_closed.
 
     Also pins the two Q_j expansion routes (rational-factor inverses vs the
     Stirling-coefficient identity) against each other, coefficient by
     coefficient, before using the rational route in the double sum.
     """
-    _require_index("n", n)
-    _require_index("order", order, 1)
-    params = {"n": n, "order": order}
-
-    def pairs() -> Iterator[CheckPair]:
-        for j in range(order + 1):
-            yield from _coefficient_pairs(
-                q_series(j, order, "rational"),
-                q_series(j, order, "stirling"),
-                ("part", "q-route"),
-                ("j", j),
+    for j in range(order + 1):
+        yield from _coefficient_pairs(
+            q_series(j, order, "rational"),
+            q_series(j, order, "stirling"),
+            ("part", "q-route"),
+            ("j", j),
+        )
+    series = ogf_series(n, order)
+    for l in range(order + 1):
+        for m in range(order - l + 1):
+            yield (
+                (("part", "sum"), ("l", l), ("m", m)),
+                series[l, m],
+                script_B_closed(m, l, n),
             )
-        series = ogf_series(n, order)
-        for l in range(order + 1):
-            for m in range(order - l + 1):
-                yield (
-                    (("part", "sum"), ("l", l), ("m", m)),
-                    series[l, m],
-                    script_B_closed(m, l, n),
-                )
-
-    return _run_pairs("ogf", params, pairs(), mutate_at)
 
 
-def verify_trivariate(order: int = 6, *, mutate_at=None) -> VerificationReport:
+@_verifier("trivariate", order=1)
+def verify_trivariate(order: int = 6) -> Iterator[CheckPair]:
     """z-expansion of e^{x+y}/(e^x+e^y-e^{x+y}-z): the coefficient of z^n is
     e^{x+y} D^{-(n+1)}, i.e. the bivariate closed form divided by n!."""
-    _require_index("order", order, 1)
-    params = {"order": order}
-
-    def pairs() -> Iterator[CheckPair]:
-        inverse_d = denominator_series(order).inverse()
-        ex = _exp_t(order)
-        geometric = product_xy(ex, ex) * inverse_d
-        for n in range(order + 1):
-            target = egf_closed_form(n, order) * Fraction(1, factorial(n))
-            yield from _coefficient_pairs(geometric, target, ("n", n))
-            geometric = geometric * inverse_d
-
-    return _run_pairs("trivariate", params, pairs(), mutate_at)
+    inverse_d = denominator_series(order).inverse()
+    ex = _exp_t(order)
+    geometric = product_xy(ex, ex) * inverse_d
+    for n in range(order + 1):
+        target = egf_closed_form(n, order) * Fraction(1, factorial(n))
+        yield from _coefficient_pairs(geometric, target, ("n", n))
+        geometric = geometric * inverse_d
 
 
-def verify_stirling_expansion(
-    n: int = 3, r: int = 6, order: int = 12, *, mutate_at=None
-) -> VerificationReport:
+@_verifier("stirling-expansion", n=0, r=0, order=1)
+def verify_stirling_expansion(n: int = 3, r: int = 6, order: int = 12) -> Iterator[CheckPair]:
     """Two expansions with mixed Stirling weights, valid for r >= n >= 0:
 
     A:  e^{nt}(e^t-1)^{r-n}/(r-n)!  =  sum_m [sum_i (-1)^{n-i} [n i] {m+i brace r}] t^m/m!
     B:  sum_i {n brace i} e^{it}(e^t-1)^{r-i}/(r-i)!  =  sum_m {m+n brace r} t^m/m!
     """
-    _require_index("n", n)
-    _require_index("r", r)
-    _require_index("order", order, 1)
     if r < n:
         raise ParameterError(f"requires r >= n, got n={n}, r={r}")
-    params = {"n": n, "r": r, "order": order}
-
-    def pairs() -> Iterator[CheckPair]:
-        lhs_a = _exp_shift_power(n, r - n, order)
-        for m in range(order + 1):
-            rhs = sum(
-                (-1) ** (n - i) * stirling_first(n, i) * stirling_second(m + i, r)
-                for i in range(n + 1)
-            )
-            yield (("part", "A"), ("m", m)), egf_coefficient(lhs_a, m), rhs
-        lhs_b = Series1.zero(order)
-        for i in range(n + 1):
-            lhs_b = lhs_b + _exp_shift_power(i, r - i, order) * stirling_second(n, i)
-        for m in range(order + 1):
-            yield (
-                (("part", "B"), ("m", m)),
-                egf_coefficient(lhs_b, m),
-                stirling_second(m + n, r),
-            )
-
-    return _run_pairs("stirling-expansion", params, pairs(), mutate_at)
+    lhs_a = _exp_shift_power(n, r - n, order)
+    for m in range(order + 1):
+        rhs = sum(
+            (-1) ** (n - i) * stirling_first(n, i) * stirling_second(m + i, r)
+            for i in range(n + 1)
+        )
+        yield (("part", "A"), ("m", m)), egf_coefficient(lhs_a, m), rhs
+    lhs_b = Series1.zero(order)
+    for i in range(n + 1):
+        lhs_b = lhs_b + _exp_shift_power(i, r - i, order) * stirling_second(n, i)
+    for m in range(order + 1):
+        yield (
+            (("part", "B"), ("m", m)),
+            egf_coefficient(lhs_b, m),
+            stirling_second(m + n, r),
+        )
 
 
-def verify_kernel_closed_form(
-    n: int = 3, order: int = 10, *, mutate_at=None
-) -> VerificationReport:
+@_verifier("kernel-closed-form", n=0, order=1)
+def verify_kernel_closed_form(n: int = 3, order: int = 10) -> Iterator[CheckPair]:
     """The Stirling-weighted derivative family of e^u/(1-e^u(1-e^t)) equals its
     closed form e^{-nu} sum_m ((m+n-1)!/(m-1)!) e^{-mt} (1-e^{-u})^{m-1}."""
-    _require_index("n", n)
-    _require_index("order", order, 1)
-    params = {"n": n, "order": order}
-    definition = kernel_family(n, order)
-    closed = kernel_family_closed(n, order)
-    return _run_pairs(
-        "kernel-closed-form", params, _coefficient_pairs(definition, closed), mutate_at
-    )
+    return _coefficient_pairs(kernel_family(n, order), kernel_family_closed(n, order))
 
 
-def verify_alternating_b_sum(max_n: int = 30, *, mutate_at=None) -> VerificationReport:
+@_verifier("alternating-b-sum", max_n=1)
+def verify_alternating_b_sum(max_n: int = 30) -> Iterator[CheckPair]:
     """sum_{l=0}^n (-1)^l B_{n-l}^(-l) = 0 for every n >= 1."""
-    _require_index("max_n", max_n, 1)
-    params = {"max_n": max_n}
-
-    def pairs() -> Iterator[CheckPair]:
-        for n in range(1, max_n + 1):
-            value = sum((-1) ** l * poly_bernoulli_B(n - l, -l) for l in range(n + 1))
-            yield (("n", n),), value, 0
-
-    return _run_pairs("alternating-b-sum", params, pairs(), mutate_at)
+    for n in range(1, max_n + 1):
+        value = sum((-1) ** l * poly_bernoulli_B(n - l, -l) for l in range(n + 1))
+        yield (("n", n),), value, 0
 
 
-def verify_genocchi_sum(max_n: int = 30, *, mutate_at=None) -> VerificationReport:
+@_verifier("genocchi-sum", max_n=0)
+def verify_genocchi_sum(max_n: int = 30) -> Iterator[CheckPair]:
     """sum_{l=0}^n (-1)^l C_{n-l}^(-l-1) = -G_{n+2}, plus the shifted variant
     sum_{l=0}^n (-1)^l C_{n-l}^(-l) = G_{n+1}."""
-    _require_index("max_n", max_n)
-    params = {"max_n": max_n}
-
-    def pairs() -> Iterator[CheckPair]:
-        for n in range(max_n + 1):
-            value = sum((-1) ** l * poly_bernoulli_C(n - l, -l - 1) for l in range(n + 1))
-            yield (("part", "main"), ("n", n)), value, -genocchi(n + 2)
-        for n in range(max_n + 1):
-            value = sum((-1) ** l * poly_bernoulli_C(n - l, -l) for l in range(n + 1))
-            yield (("part", "variant"), ("n", n)), value, genocchi(n + 1)
-
-    return _run_pairs("genocchi-sum", params, pairs(), mutate_at)
+    for n in range(max_n + 1):
+        value = sum((-1) ** l * poly_bernoulli_C(n - l, -l - 1) for l in range(n + 1))
+        yield (("part", "main"), ("n", n)), value, -genocchi(n + 2)
+    for n in range(max_n + 1):
+        value = sum((-1) ** l * poly_bernoulli_C(n - l, -l) for l in range(n + 1))
+        yield (("part", "variant"), ("n", n)), value, genocchi(n + 1)
 
 
-def verify_beta1_funceq(order: int = 30, *, mutate_at=None) -> VerificationReport:
+@_verifier("beta1-funceq", order=2)
+def verify_beta1_funceq(order: int = 30) -> Iterator[CheckPair]:
     """beta1(x/(1-x)) = beta1(x) + x^2 for beta1(x) = sum B_n x^{n+1}."""
-    _require_index("order", order, 2)
-    params = {"order": order}
     beta1 = beta1_series(order)
-    lhs = beta1.mobius_substitution(1)
     rhs = beta1 + Series1.monomial(1, 2, order)
-    return _run_pairs("beta1-funceq", params, _coefficient_pairs(lhs, rhs), mutate_at)
+    return _coefficient_pairs(beta1.mobius_substitution(1), rhs)
 
 
-def verify_g1_funceq(order: int = 30, *, mutate_at=None) -> VerificationReport:
+@_verifier("g1-funceq", order=3)
+def verify_g1_funceq(order: int = 30) -> Iterator[CheckPair]:
     """g1(x/(1-2x)) = g1(x) + 2x^3(x-2)/(1-x)^2 for g1 = sum (2^{n+1}-2)B_n x^{n+1}."""
-    _require_index("order", order, 3)
-    params = {"order": order}
     g1 = g1_series(order)
-    lhs = g1.mobius_substitution(2)
-    rhs = g1 + g1_inhomogeneity(order)
-    return _run_pairs("g1-funceq", params, _coefficient_pairs(lhs, rhs), mutate_at)
+    return _coefficient_pairs(g1.mobius_substitution(2), g1 + g1_inhomogeneity(order))
 
 
-def verify_f2_funceq(order: int = 30, *, mutate_at=None) -> VerificationReport:
+@_verifier("f2-funceq", order=4)
+def verify_f2_funceq(order: int = 30) -> Iterator[CheckPair]:
     """The series f2 = x*f1(x) - x^2 built from the duality generating function
     satisfies the g1 functional equation; f1 satisfies its own equivalent form;
     and f2 matches -sum G_n x^{n+1} coefficientwise (the Genocchi bridge)."""
-    _require_index("order", order, 4)
-    params = {"order": order}
     f1 = f1_series(order)
     f2 = f1 * Series1.variable(order) - Series1.monomial(1, 2, order)
-
-    def pairs() -> Iterator[CheckPair]:
-        for i in range(order + 1):
-            rhs = -genocchi(i - 1) if i >= 1 else 0
-            yield (("part", "bridge"), ("i", i)), f2[i], rhs
-        yield from _coefficient_pairs(
-            f1.mobius_substitution(2),
-            (1 - 2 * Series1.variable(order)) * f1 + f1_inhomogeneity(order),
-            ("part", "f1-form"),
-        )
-        yield from _coefficient_pairs(
-            f2.mobius_substitution(2), f2 + g1_inhomogeneity(order), ("part", "f2-form")
-        )
-
-    return _run_pairs("f2-funceq", params, pairs(), mutate_at)
+    for i in range(order + 1):
+        rhs = -genocchi(i - 1) if i >= 1 else 0
+        yield (("part", "bridge"), ("i", i)), f2[i], rhs
+    yield from _coefficient_pairs(
+        f1.mobius_substitution(2),
+        (1 - 2 * Series1.variable(order)) * f1 + f1_inhomogeneity(order),
+        ("part", "f1-form"),
+    )
+    yield from _coefficient_pairs(
+        f2.mobius_substitution(2), f2 + g1_inhomogeneity(order), ("part", "f2-form")
+    )
 
 
 _DEFAULT_SAMPLE_POINTS = (Fraction(1, 100), Fraction(1, 97), Fraction(-1, 101))
@@ -497,31 +480,52 @@ def _remainder_prefactor_poly(n: int) -> tuple[int, int, int]:
     return (2 * n + 5, -(4 * n + 10), n + 3)
 
 
+def _sample_point(point) -> Fraction:
+    """A sample point given exactly: an int, a Fraction or a rational string."""
+    if isinstance(point, (int, Fraction, str)) and not isinstance(point, bool):
+        try:
+            return Fraction(point)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParameterError(
+        f"sample point must be an int, a Fraction or a rational string, got {point!r}"
+    )
+
+
+def _remainder_sides_at(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
+    """Both sides of the remainder identity evaluated exactly at x."""
+    c0, c1, c2 = _remainder_prefactor_poly(n)
+    shifted = x / (1 - 2 * x)
+    lhs = sum(f1_term_at(j, shifted) - (1 - 2 * x) * f1_term_at(j, x) for j in range(n + 1))
+    lhs -= 2 * x**3 * (3 - 6 * x + 2 * x**2) / ((1 - x) ** 2 * (1 - 2 * x))
+    rhs = (
+        Fraction(-2 * x, 1 - x)
+        * Fraction(1 + (n + 2) * x, 1 - (n + 3) * x)
+        * (c0 + c1 * x + c2 * x**2)
+        * f1_term_at(n + 1, x)
+    )
+    return lhs, rhs
+
+
+@_verifier("funceq-remainder", n=0)
 def verify_funceq_remainder(
-    n: int = 4,
-    mode: str = "series",
-    order: int = 30,
-    points=None,
-    *,
-    mutate_at=None,
-) -> VerificationReport:
+    n: int = 4, mode: str = "series", order: int = 30, points=None
+) -> tuple[dict, Iterable[CheckPair]]:
     """Exact remainder after n+1 terms of the f1 functional equation:
 
     sum_{j<=n}(a_j(x/(1-2x)) - (1-2x)a_j(x)) - 2x^3(3-6x+2x^2)/((1-x)^2(1-2x))
       = -(2x/(1-x)) * ((1+(n+2)x)/(1-(n+3)x)) * ((n+3)(x-1)^2-(n+2)(2x-1)) * a_{n+1}(x)
 
-    ``mode='series'`` compares truncated expansions to the given order;
-    ``mode='sample'`` evaluates both sides exactly at rational points away
-    from every pole of the identity.
+    ``mode='series'`` compares truncated expansions to the given order and
+    reports ``order``; ``mode='sample'`` evaluates both sides exactly at
+    rational points away from every pole of the identity and reports the
+    points.
     """
-    _require_index("n", n)
     if mode not in ("series", "sample"):
         raise ParameterError(f"mode must be 'series' or 'sample', got {mode!r}")
-    c0, c1, c2 = _remainder_prefactor_poly(n)
 
     if mode == "series":
         _require_index("order", order, 1)
-        params = {"n": n, "mode": mode, "order": order}
         terms = [f1_term(j, order) for j in range(n + 2)]
         one_minus_2x = 1 - 2 * Series1.variable(order)
         lhs = Series1.zero(order)
@@ -533,117 +537,51 @@ def verify_funceq_remainder(
             * Series1([1, -1], order).inverse()
             * Series1([1, n + 2], order)
             * Series1([1, -(n + 3)], order).inverse()
-            * Series1([c0, c1, c2], order)
+            * Series1(list(_remainder_prefactor_poly(n)), order)
             * terms[n + 1]
         )
-        return _run_pairs("funceq-remainder", params, _coefficient_pairs(lhs, rhs), mutate_at)
+        return {"n": n, "mode": mode, "order": order}, _coefficient_pairs(lhs, rhs)
 
     if points is None:
         points = _DEFAULT_SAMPLE_POINTS
-    sample_points = tuple(Fraction(p) for p in points)
+    sample_points = tuple(_sample_point(p) for p in points)
     if not sample_points:
         raise ParameterError("sample mode needs at least one point")
-    params = {
-        "n": n,
-        "mode": mode,
-        "points": [format_rational(p) for p in sample_points],
-    }
+    parameters = {"n": n, "mode": mode, "points": [format_rational(p) for p in sample_points]}
     for x in sample_points:
         _guard_sample_point(x, n)
-
-    def sample_pairs() -> Iterator[CheckPair]:
-        for x in sample_points:
-            shifted = x / (1 - 2 * x)
-            lhs_value = sum(
-                f1_term_at(j, shifted) - (1 - 2 * x) * f1_term_at(j, x)
-                for j in range(n + 1)
-            )
-            lhs_value -= (
-                2 * x**3 * (3 - 6 * x + 2 * x**2) / ((1 - x) ** 2 * (1 - 2 * x))
-            )
-            rhs_value = (
-                Fraction(-2 * x, 1 - x)
-                * Fraction(1 + (n + 2) * x, 1 - (n + 3) * x)
-                * (c0 + c1 * x + c2 * x**2)
-                * f1_term_at(n + 1, x)
-            )
-            yield (("x", x),), lhs_value, rhs_value
-
-    return _run_pairs("funceq-remainder", params, sample_pairs(), mutate_at)
+    return parameters, (((("x", x),), *_remainder_sides_at(n, x)) for x in sample_points)
 
 
-def verify_uniqueness_recursion(max_m: int = 40, *, mutate_at=None) -> VerificationReport:
+@_verifier("uniqueness-recursion", max_m=2)
+def verify_uniqueness_recursion(max_m: int = 40) -> Iterator[CheckPair]:
     """The recursion sum_{n<m} C(m,n) 2^{m-n} (2^{n+1}-2) B_n = -2m for m >= 2,
     its rewriting sum_{n<=m} C(m,n) 2^{m-n} B_n = m + B_m, and the forward
     solve: the recursion with d_0 = 0 reproduces d_n = (2^{n+1}-2) B_n."""
-    _require_index("max_m", max_m, 2)
-    params = {"max_m": max_m}
-
-    def pairs() -> Iterator[CheckPair]:
-        for m in range(2, max_m + 1):
-            value = sum(
-                binomial(m, k) * 2 ** (m - k) * (2 ** (k + 1) - 2) * bernoulli(k)
-                for k in range(m)
-            )
-            yield (("part", "recursion"), ("m", m)), value, -2 * m
-        for m in range(2, max_m + 1):
-            value = sum(binomial(m, k) * 2 ** (m - k) * bernoulli(k) for k in range(m + 1))
-            yield (("part", "rewritten"), ("m", m)), value, m + bernoulli(m)
-        solved = [Fraction(0)]
-        for m in range(2, max_m + 1):
-            acc = sum(
-                binomial(m, k) * 2 ** (m - k) * solved[k] for k in range(m - 1)
-            )
-            solved.append(Fraction(-2 * m - acc, 2 * m))
-        for k in range(max_m):
-            yield (
-                (("part", "unique"), ("n", k)),
-                solved[k],
-                (2 ** (k + 1) - 2) * bernoulli(k),
-            )
-
-    return _run_pairs("uniqueness-recursion", params, pairs(), mutate_at)
+    for m in range(2, max_m + 1):
+        value = sum(
+            binomial(m, k) * 2 ** (m - k) * (2 ** (k + 1) - 2) * bernoulli(k)
+            for k in range(m)
+        )
+        yield (("part", "recursion"), ("m", m)), value, -2 * m
+    for m in range(2, max_m + 1):
+        value = sum(binomial(m, k) * 2 ** (m - k) * bernoulli(k) for k in range(m + 1))
+        yield (("part", "rewritten"), ("m", m)), value, m + bernoulli(m)
+    solved = [Fraction(0)]
+    for m in range(2, max_m + 1):
+        acc = sum(binomial(m, k) * 2 ** (m - k) * solved[k] for k in range(m - 1))
+        solved.append(Fraction(-2 * m - acc, 2 * m))
+    for k in range(max_m):
+        yield (
+            (("part", "unique"), ("n", k)),
+            solved[k],
+            (2 ** (k + 1) - 2) * bernoulli(k),
+        )
 
 
 # ---------------------------------------------------------------------------
-# Registry and the all-in-one runner.
+# Registry lookups and the all-in-one runner.
 
-
-@dataclass(frozen=True)
-class IdentityEntry:
-    identity_id: str
-    runner: Callable[..., VerificationReport]
-    defaults: tuple  # ((name, value), ...) — kept immutable
-
-
-def _entry(identity_id: str, runner) -> IdentityEntry:
-    """Register a verifier with its signature defaults (mutate_at is keyword-only)."""
-    defaults = tuple(
-        (p.name, p.default)
-        for p in inspect.signature(runner).parameters.values()
-        if p.kind is p.POSITIONAL_OR_KEYWORD
-    )
-    return IdentityEntry(identity_id, runner, defaults)
-
-
-REGISTRY: dict[str, IdentityEntry] = {
-    e.identity_id: e
-    for e in (
-        _entry("duality", verify_duality),
-        _entry("egf", verify_egf),
-        _entry("ogf", verify_ogf),
-        _entry("trivariate", verify_trivariate),
-        _entry("stirling-expansion", verify_stirling_expansion),
-        _entry("kernel-closed-form", verify_kernel_closed_form),
-        _entry("alternating-b-sum", verify_alternating_b_sum),
-        _entry("genocchi-sum", verify_genocchi_sum),
-        _entry("beta1-funceq", verify_beta1_funceq),
-        _entry("g1-funceq", verify_g1_funceq),
-        _entry("f2-funceq", verify_f2_funceq),
-        _entry("funceq-remainder", verify_funceq_remainder),
-        _entry("uniqueness-recursion", verify_uniqueness_recursion),
-    )
-}
 
 IDENTITY_IDS = tuple(REGISTRY)
 
@@ -659,14 +597,13 @@ def _registered(identity_id: str) -> IdentityEntry:
 def verify_one(identity_id: str, **overrides) -> VerificationReport:
     """Run a single registered identity check with parameter overrides."""
     entry = _registered(identity_id)
-    kwargs = dict(entry.defaults)
-    for name, value in overrides.items():
-        if name not in kwargs:
+    accepted = dict(entry.defaults)
+    for name in overrides:
+        if name not in accepted:
             raise ParameterError(
                 f"identity {identity_id!r} does not accept parameter {name!r}"
             )
-        kwargs[name] = value
-    return entry.runner(**kwargs)
+    return entry.runner(**overrides)
 
 
 def verify_all(config: Optional[dict] = None) -> list[VerificationReport]:

@@ -1,5 +1,6 @@
 """CLI layer: exit codes, document formats, determinism, error surfaces."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,26 @@ GENOCCHI_CSV = (
     "n,value\n"
     "0,0\n1,1\n2,-1\n3,0\n4,1\n5,0\n6,-3\n7,0\n8,17\n9,0\n10,-155\n11,0\n"
 )
+
+# `verify all` at default bounds: every default, parameter order and checked
+# count.  The json document is pinned by its SHA-256 (2,075 bytes).
+VERIFY_ALL_TEXT = (
+    "ok    duality  [max_l=20 max_m=20 max_n=6]  checked=3087\n"
+    "ok    egf  [n=4 order=14]  checked=120\n"
+    "ok    ogf  [n=4 order=14]  checked=345\n"
+    "ok    trivariate  [order=6]  checked=196\n"
+    "ok    stirling-expansion  [n=3 r=6 order=12]  checked=26\n"
+    "ok    kernel-closed-form  [n=3 order=10]  checked=66\n"
+    "ok    alternating-b-sum  [max_n=30]  checked=30\n"
+    "ok    genocchi-sum  [max_n=30]  checked=62\n"
+    "ok    beta1-funceq  [order=30]  checked=31\n"
+    "ok    g1-funceq  [order=30]  checked=31\n"
+    "ok    f2-funceq  [order=30]  checked=93\n"
+    "ok    funceq-remainder  [n=4 mode=series order=30]  checked=31\n"
+    "ok    uniqueness-recursion  [max_m=40]  checked=118\n"
+    "13/13 identities verified\n"
+)
+VERIFY_ALL_JSON_SHA256 = "08430f8c58af3e74275d6723ff55ba2715314296832b28f1a7304a03cda45b0a"
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +126,14 @@ def test_output_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == GENOCCHI_CSV
+
+
+def test_output_to_missing_directory_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "bernoulli.csv"
+    code, out, err = run_cli(capsys, "table", "bernoulli", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +302,14 @@ def test_verify_all_text_summary(capsys):
                            "--max-l", "4", "--max-m", "4")
     assert code == 0
     assert out.splitlines()[-1] == "13/13 identities verified"
+
+
+def test_verify_all_golden_at_default_bounds(capsys):
+    code, out, err = run_cli(capsys, "verify", "all")
+    assert (code, out, err) == (0, VERIFY_ALL_TEXT, "")
+    code, out, err = run_cli(capsys, "verify", "all", "--format", "json")
+    assert code == 0 and err == "" and len(out.encode()) == 2075
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
 
 
 def test_help_exits_zero(capsys):

@@ -6,6 +6,7 @@ that silently compares nothing (or compares a value with itself) cannot
 slip through.
 """
 
+import inspect
 import re
 from fractions import Fraction
 
@@ -137,6 +138,8 @@ def test_unknown_identity_and_parameter():
         ("duality", dict(max_l=-1)),
         ("funceq-remainder", dict(mode="fourier")),
         ("funceq-remainder", dict(mode="sample", points=())),
+        ("funceq-remainder", dict(mode="sample", points=(0.1,))),
+        ("funceq-remainder", dict(mode="sample", points=("abc",))),
         ("kernel-closed-form", dict(n=True)),
     ],
 )
@@ -159,6 +162,8 @@ def test_remainder_sample_mode_custom_points():
     points = (Fraction(1, 50), Fraction(-1, 64), Fraction(3, 101))
     report = verify_one("funceq-remainder", n=2, mode="sample", points=points)
     assert report.passed and report.checked_count == 3
+    mixed = verify_one("funceq-remainder", n=2, mode="sample", points=("1/50", 2))
+    assert mixed.passed and mixed.parameters["points"] == ["1/50", "2"]
 
 
 @pytest.mark.parametrize(
@@ -282,13 +287,34 @@ def test_uniqueness_recursion_rewritten_form():
 # registry surface
 
 
+# Every identity's signature defaults, in registry order.
+DEFAULTS = {
+    "duality": (("max_l", 20), ("max_m", 20), ("max_n", 6)),
+    "egf": (("n", 4), ("order", 14)),
+    "ogf": (("n", 4), ("order", 14)),
+    "trivariate": (("order", 6),),
+    "stirling-expansion": (("n", 3), ("r", 6), ("order", 12)),
+    "kernel-closed-form": (("n", 3), ("order", 10)),
+    "alternating-b-sum": (("max_n", 30),),
+    "genocchi-sum": (("max_n", 30),),
+    "beta1-funceq": (("order", 30),),
+    "g1-funceq": (("order", 30),),
+    "f2-funceq": (("order", 30),),
+    "funceq-remainder": (("n", 4), ("mode", "series"), ("order", 30), ("points", None)),
+    "uniqueness-recursion": (("max_m", 40),),
+}
+
+
 def test_registry_shape():
     assert len(IDENTITY_IDS) == 13
-    assert IDENTITY_IDS[0] == "duality"
+    assert IDENTITY_IDS == tuple(DEFAULTS)
     for identity_id, entry in REGISTRY.items():
         assert entry.identity_id == identity_id
-        assert callable(entry.runner)
-        assert all(isinstance(name, str) for name, _ in entry.defaults)
+        # The benchmark tracer rebinds registry entries by runner identity.
+        assert entry.runner is getattr(idn, "verify_" + identity_id.replace("-", "_"))
+        assert entry.defaults == DEFAULTS[identity_id]
+        mutate_at = inspect.signature(entry.runner).parameters["mutate_at"]
+        assert (mutate_at.kind, mutate_at.default) == (mutate_at.KEYWORD_ONLY, None)
 
 
 def test_verify_all_runs_in_registry_order():
