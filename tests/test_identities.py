@@ -138,9 +138,9 @@ def test_unknown_identity_and_parameter():
         ("duality", dict(max_l=-1)),
         ("funceq-remainder", dict(mode="fourier")),
         ("funceq-remainder", dict(mode="sample", points=())),
+        ("kernel-closed-form", dict(n=True)),
         ("funceq-remainder", dict(mode="sample", points=(0.1,))),
         ("funceq-remainder", dict(mode="sample", points=("abc",))),
-        ("kernel-closed-form", dict(n=True)),
     ],
 )
 def test_out_of_contract_parameters(identity_id, kwargs):
