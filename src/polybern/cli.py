@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -321,6 +322,23 @@ def _verify_document(args: argparse.Namespace) -> tuple[str, bool]:
 # driver
 
 
+def _check_writable(output: str) -> None:
+    """Fail before any work when ``output`` cannot be opened for writing.
+
+    An existing file is opened for appending, which leaves it as it is; a
+    file this check creates is removed again, so a run that then fails
+    leaves nothing behind.
+    """
+    existed = os.path.lexists(output)
+    try:
+        with open(output, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cannot write {output}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(output)
+
+
 def _emit(document: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(document)
@@ -339,6 +357,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if args.output is not None:
+            _check_writable(args.output)
         if args.command == "table":
             document, failed = _table_document(args), False
         elif args.command == "expand":

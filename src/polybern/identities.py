@@ -94,11 +94,14 @@ def _run_pairs(
     return VerificationReport(identity_id, parameters, True, None, checked)
 
 
-def _verifier(identity_id: str, **minimums: int):
+def _verifier(identity_id: str, *, used_by_mode: Optional[dict] = None, **minimums: int):
     """Make a pair generator the registered verifier of ``identity_id``.
 
     The generator may instead return ``(parameters, pairs)`` when the
-    parameters to report are not simply its bound arguments.
+    parameters to report are not simply its bound arguments.  For a
+    generator with a ``mode`` parameter, ``used_by_mode`` maps each mode to
+    the mode-specific parameters it reads; giving one that the chosen mode
+    does not read is an error, not a silently ignored value.
     """
 
     def register(pairs_of: Callable[..., Iterable[CheckPair]]):
@@ -107,9 +110,12 @@ def _verifier(identity_id: str, **minimums: int):
         @wraps(pairs_of)
         def runner(*args, mutate_at=None, **kwargs) -> VerificationReport:
             bound = signature.bind(*args, **kwargs)
+            given = tuple(bound.arguments)
             bound.apply_defaults()
             for name, minimum in minimums.items():
                 _require_index(name, bound.arguments[name], minimum)
+            if used_by_mode is not None:
+                _require_used_by_mode(bound.arguments["mode"], given, used_by_mode)
             parameters = dict(bound.arguments)
             pairs = pairs_of(*bound.args, **bound.kwargs)
             if isinstance(pairs, tuple):
@@ -142,6 +148,16 @@ def _coefficient_pairs(lhs, rhs, *prefix) -> Iterator[CheckPair]:
 def _require_index(name: str, value, minimum: int = 0) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_used_by_mode(mode, given, used_by_mode: dict) -> None:
+    if mode not in tuple(used_by_mode):
+        choices = " or ".join(repr(m) for m in used_by_mode)
+        raise ParameterError(f"mode must be {choices}, got {mode!r}")
+    mode_specific = {name for names in used_by_mode.values() for name in names}
+    for name in given:
+        if name in mode_specific and name not in used_by_mode[mode]:
+            raise ParameterError(f"{name} is not used in {mode} mode")
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +523,9 @@ def _remainder_sides_at(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-@_verifier("funceq-remainder", n=0)
+@_verifier(
+    "funceq-remainder", used_by_mode={"series": ("order",), "sample": ("points",)}, n=0, order=1
+)
 def verify_funceq_remainder(
     n: int = 4, mode: str = "series", order: int = 30, points=None
 ) -> tuple[dict, Iterable[CheckPair]]:
@@ -519,13 +537,10 @@ def verify_funceq_remainder(
     ``mode='series'`` compares truncated expansions to the given order and
     reports ``order``; ``mode='sample'`` evaluates both sides exactly at
     rational points away from every pole of the identity and reports the
-    points.
+    points.  Giving ``points`` in series mode or ``order`` in sample mode
+    raises ParameterError.
     """
-    if mode not in ("series", "sample"):
-        raise ParameterError(f"mode must be 'series' or 'sample', got {mode!r}")
-
     if mode == "series":
-        _require_index("order", order, 1)
         terms = [f1_term(j, order) for j in range(n + 2)]
         one_minus_2x = 1 - 2 * Series1.variable(order)
         lhs = Series1.zero(order)

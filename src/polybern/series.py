@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 
 _SCALARS = (int, Fraction)
 
@@ -271,14 +271,23 @@ class Series1:
         )
 
     def compose(self, inner: "Series1") -> "Series1":
-        """self(inner) by Horner evaluation; inner needs zero constant term."""
+        """self(inner) by Horner evaluation; inner needs zero constant term.
+
+        With self = sum a_k x^k and n the smaller order, the partial sum
+        acc_k = a_k + a_(k+1) inner + ... + a_n inner^(n-k) is later multiplied
+        by inner^k = O(x^k), so it is needed only to order n - k.  Step k pads
+        acc_(k+1) with zeros to order n - k (exact, as inner has zero constant
+        term) and multiplies it by inner cut to that order; the constructor
+        does both the padding and the cut.  That is n series products, as in
+        full-order Horner, but about n^3/6 coefficient products instead of
+        n^3/2.
+        """
         if inner.coeffs[0] != 0:
             raise DomainError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        acc = Series1.constant(self.coeffs[n], n)
+        acc = Series1.constant(self.coeffs[n], 0)
         for k in range(n - 1, -1, -1):
-            acc = acc * inner + self.coeffs[k]
+            acc = Series1(acc.coeffs, n - k) * Series1(inner.coeffs, n - k) + self.coeffs[k]
         return acc
 
     def mobius_substitution(self, c) -> "Series1":
@@ -434,14 +443,36 @@ def polylog_over_argument(k: int, z):
     Only finitely many powers contribute because z must have zero constant
     term; the shift by one power keeps the division exact even though z
     itself is not invertible.  Works for Series1 and Series2 alike.
+
+    At order n the sum is sum_{j<=n} z**j / (j+1)**k, evaluated by baby
+    steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2(1),
+    1973).  With s = isqrt(n+1), the baby steps are z**0..z**s; block b is
+    sum_{r<s} z**r / (b*s+r+1)**k, cut to order n - b*s; the blocks are
+    combined by Horner in z**s, each partial sum padded with zeros to the
+    next block's order (exact, as z**s has zero constant term).  That is
+    about 2*sqrt(n) series products instead of n, and the n+1 scalar
+    multiples and their sums run at the shrinking block orders.  Both series
+    constructors cut or zero-pad a coefficient list to the order given.
     """
     if z.constant_term != 0:
         raise DomainError("polylog substitution needs a zero constant term")
-    acc = type(z).constant(Fraction(1), z.order)  # m = 1 term
-    power = type(z).one(z.order)
-    for m in range(2, z.order + 2):
-        power = power * z
-        acc = acc + power * Fraction(m) ** (-k)
+    cls, n = type(z), z.order
+    s = isqrt(n + 1)
+    powers = [cls.one(n), z]
+    while len(powers) <= s:
+        powers.append(powers[-1] * z)
+    acc = None
+    for start in reversed(range(0, n + 1, s)):
+        order = n - start
+        terms = (
+            cls(powers[r].coeffs, order) * Fraction(start + r + 1) ** (-k)
+            for r in range(min(s, order + 1))
+        )
+        block = sum(terms, next(terms))
+        if acc is None:
+            acc = block
+        else:
+            acc = cls(acc.coeffs, order) * cls(powers[s].coeffs, order) + block
     return acc
 
 

@@ -1,5 +1,6 @@
 """CLI layer: exit codes, document formats, determinism, error surfaces."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from polybern import cli
-from polybern.identities import Counterexample, VerificationReport
+from polybern.identities import REGISTRY, Counterexample, VerificationReport
 
 GENOCCHI_CSV = (
     "n,value\n"
@@ -134,6 +135,32 @@ def test_output_to_missing_directory_exits_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+def test_unwritable_output_exits_two_before_any_identity_runs(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an identity ran before --output was checked")
+
+    for identity_id, entry in REGISTRY.items():
+        monkeypatch.setitem(REGISTRY, identity_id, dataclasses.replace(entry, runner=must_not_run))
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "verify", "all", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_failed_run_leaves_output_as_it_was(tmp_path, capsys):
+    existing, fresh = tmp_path / "existing.txt", tmp_path / "fresh.txt"
+    existing.write_text("keep\n", encoding="utf-8")
+    for target in (existing, fresh):
+        code, out, err = run_cli(
+            capsys, "verify", "funceq-remainder", "--mode", "sample", "--order", "12",
+            "--output", str(target),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: order is not used in sample mode\n"
+    assert existing.read_text(encoding="utf-8") == "keep\n"
+    assert not fresh.exists()
 
 
 # ---------------------------------------------------------------------------

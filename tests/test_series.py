@@ -12,6 +12,7 @@ from polybern.series import (
     Series1,
     Series2,
     egf_coefficient,
+    polylog_over_argument,
     polylog_substitute,
     product_xy,
 )
@@ -367,6 +368,39 @@ def test_compose_is_associative(f, g, h):
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
+def compose_by_full_order_horner(f, inner):
+    """f(inner) by Horner with every partial sum kept to the common order."""
+    n = min(f.order, inner.order)
+    inner = inner.truncate(n)
+    acc = Series1.constant(f.coeffs[n], n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * inner + f.coeffs[k]
+    return acc
+
+
+def assert_same_as_full_order_horner(f, inner):
+    got, expected = f.compose(inner), compose_by_full_order_horner(f, inner)
+    assert got == expected and got.order == expected.order
+    # A product's coefficients are Fractions unless both operands are all
+    # integral.  The full-order partial sums carry coefficients beyond the
+    # order that matters, so an integral value there may be Fraction(v, 1)
+    # where the shrinking-order Horner gives the int v; never the reverse.
+    for a, b in zip(got.coeffs, expected.coeffs):
+        assert type(a) is type(b) or (type(a) is int and b.denominator == 1), (a, b)
+
+
+@given(series1, nilpotent1)
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_full_order_horner(f, inner):
+    assert_same_as_full_order_horner(f, inner)
+
+
+@given(series1_any_order(), series1_any_order())
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_full_order_horner_at_unequal_orders(f, inner):
+    assert_same_as_full_order_horner(f, inner - inner.constant_term)
+
+
 def test_compose_requires_nilpotent_inner():
     with pytest.raises(DomainError):
         Series1.variable(4).compose(Series1.one(4))
@@ -420,6 +454,37 @@ def test_polylog_negative_k_integer_coefficients():
     )
     with pytest.raises(DomainError):
         polylog_substitute(2, Series2.one(4))
+
+
+def polylog_over_argument_by_direct_sum(k, z):
+    """sum_{m>=1} z**(m-1) / m**k, one full-order product per power."""
+    acc = type(z).constant(Fraction(1), z.order)
+    power = type(z).one(z.order)
+    for m in range(2, z.order + 2):
+        power = power * z
+        acc = acc + power * Fraction(m) ** (-k)
+    return acc
+
+
+def coefficient_types(s):
+    rows = s.coeffs if isinstance(s, Series2) else (s.coeffs,)
+    return [[type(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_polylog_over_argument_matches_direct_sum(k):
+    # Orders 0..15 give every remainder of the n+1 terms by the block size.
+    for order in range(16):
+        t = Series1.variable(order)
+        mixed = Series1([0, 3, Fraction(-1, 2), 0, 2, Fraction(5, 3)], order)
+        for z in (1 - (-t).exp(), mixed):
+            got, expected = polylog_over_argument(k, z), polylog_over_argument_by_direct_sum(k, z)
+            assert got == expected and got.order == order, (k, order)
+            assert coefficient_types(got) == coefficient_types(expected), (k, order)
+    x, y = Series2.variable(0, 7), Series2.variable(1, 7)
+    w = x + 2 * y + x * y * Fraction(1, 3) - y * y
+    got, expected = polylog_over_argument(k, w), polylog_over_argument_by_direct_sum(k, w)
+    assert got == expected and coefficient_types(got) == coefficient_types(expected)
 
 
 def test_egf_coefficient():
