@@ -151,7 +151,7 @@ def _require_index(name: str, value, minimum: int = 0) -> None:
 
 
 def _require_used_by_mode(mode, given, used_by_mode: dict) -> None:
-    if mode not in tuple(used_by_mode):
+    if mode not in tuple(used_by_mode):  # a tuple, so an unhashable mode is reported too
         choices = " or ".join(repr(m) for m in used_by_mode)
         raise ParameterError(f"mode must be {choices}, got {mode!r}")
     mode_specific = {name for names in used_by_mode.values() for name in names}
