@@ -47,16 +47,22 @@ from .polybernoulli import (
 )
 from .series import DomainError, Series1
 
-TABLE_SEQUENCES = (
-    "stirling1",
-    "stirling2",
-    "bernoulli",
-    "genocchi",
-    "polybernoulli-B",
-    "polybernoulli-C",
-    "scriptB",
-)
-EXPAND_FUNCTIONS = ("egf-B", "egf-C", "egf-poly", "egf-scriptB", "ogf-f1", "g1", "beta1")
+# The options each sequence and generating function reads, by dest; giving
+# any other is a usage error.
+TABLE_OPTIONS = {
+    **dict.fromkeys(("stirling1", "stirling2", "bernoulli", "genocchi"), ("max_n",)),
+    **dict.fromkeys(("polybernoulli-B", "polybernoulli-C"), ("max_n", "k")),
+    "scriptB": ("m", "l", "n"),
+}
+EXPAND_OPTIONS = {
+    **dict.fromkeys(("egf-B", "egf-C"), ("order", "k")),
+    "egf-poly": ("order", "k", "x"),
+    "egf-scriptB": ("order", "n"),
+    **dict.fromkeys(("ogf-f1", "g1", "beta1"), ("order",)),
+}
+TABLE_SEQUENCES = tuple(TABLE_OPTIONS)
+EXPAND_FUNCTIONS = tuple(EXPAND_OPTIONS)
+DEFAULT_TABLE_MAX_N = 10
 DEFAULT_EXPAND_ORDER = 32
 
 
@@ -91,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="emit a sequence table")
     table.add_argument("sequence", choices=TABLE_SEQUENCES)
-    table.add_argument("--max-n", type=int, default=10, dest="max_n")
+    table.add_argument("--max-n", type=int, dest="max_n")
     table.add_argument("--k", type=int, help="upper index for polybernoulli-B/C")
     table.add_argument("--m", type=int, help="scriptB: largest first index")
     table.add_argument("--l", type=int, help="scriptB: largest second index")
@@ -124,13 +130,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given_options(args: argparse.Namespace) -> dict:
+    """The options given on the command line, by dest, but --format and --output."""
+    return {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "sequence", "function", "identity", "format", "output")
+        and value is not None
+    }
+
+
+def _require_read(args: argparse.Namespace, target: str, reads: tuple) -> None:
+    for name in _given_options(args):
+        if name not in reads:
+            raise UsageError(f"{args.command} {target} does not read --{name.replace('_', '-')}")
+
+
 # ---------------------------------------------------------------------------
 # table
 
 
 def _table_rows(args: argparse.Namespace):
     sequence = args.sequence
-    max_n = args.max_n
+    _require_read(args, sequence, TABLE_OPTIONS[sequence])
+    max_n = DEFAULT_TABLE_MAX_N if args.max_n is None else args.max_n
     if max_n < 0:
         raise UsageError("--max-n must be non-negative")
     if sequence in ("stirling1", "stirling2"):
@@ -138,10 +161,9 @@ def _table_rows(args: argparse.Namespace):
         header = ("n", "m", "value")
         rows = [(n, m, fn(n, m)) for n in range(max_n + 1) for m in range(n + 1)]
         return header, rows, {"max_n": max_n}
-    if sequence == "bernoulli":
-        return ("n", "value"), [(n, bernoulli(n)) for n in range(max_n + 1)], {"max_n": max_n}
-    if sequence == "genocchi":
-        return ("n", "value"), [(n, genocchi(n)) for n in range(max_n + 1)], {"max_n": max_n}
+    if sequence in ("bernoulli", "genocchi"):
+        fn = bernoulli if sequence == "bernoulli" else genocchi
+        return ("n", "value"), [(n, fn(n)) for n in range(max_n + 1)], {"max_n": max_n}
     if sequence in ("polybernoulli-B", "polybernoulli-C"):
         k = args.k
         if k is None:
@@ -196,6 +218,7 @@ def _table_document(args: argparse.Namespace) -> str:
 
 def _expand_series(args: argparse.Namespace):
     name = args.function
+    _require_read(args, name, EXPAND_OPTIONS[name])
     order = args.order
     if order < 0:
         raise UsageError("--order must be non-negative")
@@ -203,10 +226,9 @@ def _expand_series(args: argparse.Namespace):
         k = args.k
         if k is None:
             raise UsageError(f"expand {name} requires --k")
-        if name == "egf-B":
-            return egf_poly_bernoulli_B(k, order), ("t",), {"k": k, "order": order}
-        if name == "egf-C":
-            return egf_poly_bernoulli_C(k, order), ("t",), {"k": k, "order": order}
+        if name != "egf-poly":
+            fn = egf_poly_bernoulli_B if name == "egf-B" else egf_poly_bernoulli_C
+            return fn(k, order), ("t",), {"k": k, "order": order}
         raw = args.x
         if raw is None:
             raise UsageError("expand egf-poly requires --x (a rational such as 1/2)")
@@ -286,21 +308,14 @@ def _report_line(report: VerificationReport) -> str:
 
 def _verify_reports(args: argparse.Namespace) -> list[VerificationReport]:
     # Each verify flag's dest is the identity parameter it sets.
-    overrides = {
-        name: value
-        for name, value in vars(args).items()
-        if name not in ("command", "identity", "format", "output") and value is not None
-    }
+    overrides = _given_options(args)
     if args.identity == "all":
-        per_identity = {
-            identity_id: {
-                name: value
-                for name, value in overrides.items()
-                if name in dict(REGISTRY[identity_id].defaults)
+        return verify_all(
+            {
+                identity_id: {n: v for n, v in overrides.items() if n in dict(entry.defaults)}
+                for identity_id, entry in REGISTRY.items()
             }
-            for identity_id in IDENTITY_IDS
-        }
-        return verify_all(per_identity)
+        )
     return [verify_one(args.identity, **overrides)]
 
 

@@ -5,8 +5,8 @@ Each identity is a pair generator declared with
 and returns the ``(location, lhs, rhs)`` equalities it compares over exact
 rationals, and ``minimums`` gives the least value of each integer parameter.
 The decorator registers it in :data:`REGISTRY` as the ``verify_*`` runner,
-which checks the minimums, reports the bound arguments as the parameters of
-its :class:`VerificationReport`, and stops at the first failing equality.
+which checks the arguments, reports them as the parameters of its
+:class:`VerificationReport`, and stops at the first failing equality.
 
 Every runner accepts a keyword-only ``mutate_at`` fault-injection hook:
 passing the location tuple of one checked equality adds 1 to that
@@ -18,10 +18,11 @@ coefficient family.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, wraps
 from math import factorial
+from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .combinatorics import binomial, format_rational, stirling_first, stirling_second
@@ -58,6 +59,7 @@ class VerificationReport:
     passed: bool
     counterexample: Optional[Counterexample]
     checked_count: int
+    elapsed_s: Optional[float] = field(default=None, compare=False)  # wall time of the run
 
 
 @dataclass(frozen=True)
@@ -65,17 +67,16 @@ class IdentityEntry:
     identity_id: str
     runner: Callable[..., VerificationReport]
     defaults: tuple  # ((name, value), ...) — kept immutable
+    bind: Callable[..., dict]  # the runner's arguments by name, checked; runs nothing
 
 
 REGISTRY: dict[str, IdentityEntry] = {}
 
 
-def _run_pairs(
-    identity_id: str,
-    parameters: dict,
-    pairs: Iterable[CheckPair],
-    mutate_at: Optional[Location],
-) -> VerificationReport:
+def _compare(
+    identity_id: str, pairs: Iterable[CheckPair], mutate_at: Optional[Location]
+) -> tuple[Optional[Counterexample], int]:
+    """The first failing equality (or None) and the number of equalities compared."""
     checked = 0
     mutated = False
     for location, lhs, rhs in pairs:
@@ -84,51 +85,66 @@ def _run_pairs(
             mutated = True
         checked += 1
         if lhs != rhs:
-            return VerificationReport(
-                identity_id, parameters, False, Counterexample(location, lhs, rhs), checked
-            )
+            return Counterexample(location, lhs, rhs), checked
     if checked == 0:
         raise ParameterError(f"{identity_id}: empty check range")
     if mutate_at is not None and not mutated:
         raise ParameterError(f"{identity_id}: mutate_at {mutate_at!r} is not a compared location")
-    return VerificationReport(identity_id, parameters, True, None, checked)
+    return None, checked
 
 
 def _verifier(identity_id: str, *, used_by_mode: Optional[dict] = None, **minimums: int):
     """Make a pair generator the registered verifier of ``identity_id``.
 
-    The generator may instead return ``(parameters, pairs)`` when the
-    parameters to report are not simply its bound arguments.  For a
-    generator with a ``mode`` parameter, ``used_by_mode`` maps each mode to
-    the mode-specific parameters it reads; giving one that the chosen mode
-    does not read is an error, not a silently ignored value.
+    This is the one place that checks a verifier's arguments, and the check
+    is the registry entry's ``bind``, which runs nothing.  An unknown name or
+    an integer below its minimum raises ParameterError.  For a generator
+    with a ``mode`` parameter, ``used_by_mode`` maps each mode to the
+    mode-specific parameters it reads; giving one that the chosen mode does
+    not read is an error too.  The generator may instead return
+    ``(parameters, pairs)`` when the parameters to report are not simply
+    its arguments.
     """
 
     def register(pairs_of: Callable[..., Iterable[CheckPair]]):
         signature = inspect.signature(pairs_of)
+        defaults = tuple((p.name, p.default) for p in signature.parameters.values())
+        accepted = dict(defaults)
+
+        def bind(*args, **given) -> dict:
+            for name in given:
+                if name not in accepted:
+                    raise ParameterError(
+                        f"identity {identity_id!r} does not accept parameter {name!r}"
+                    )
+            if args:
+                given = signature.bind(*args, **given).arguments
+            arguments = {**accepted, **given}
+            for name, minimum in minimums.items():
+                _require_index(name, arguments[name], minimum)
+            if used_by_mode is not None:
+                _require_used_by_mode(arguments["mode"], given, used_by_mode)
+            return arguments
 
         @wraps(pairs_of)
         def runner(*args, mutate_at=None, **kwargs) -> VerificationReport:
-            bound = signature.bind(*args, **kwargs)
-            given = tuple(bound.arguments)
-            bound.apply_defaults()
-            for name, minimum in minimums.items():
-                _require_index(name, bound.arguments[name], minimum)
-            if used_by_mode is not None:
-                _require_used_by_mode(bound.arguments["mode"], given, used_by_mode)
-            parameters = dict(bound.arguments)
-            pairs = pairs_of(*bound.args, **bound.kwargs)
+            started = perf_counter()
+            parameters = bind(*args, **kwargs)
+            pairs = pairs_of(**parameters)
             if isinstance(pairs, tuple):
                 parameters, pairs = pairs
-            return _run_pairs(identity_id, parameters, pairs, mutate_at)
+            counterexample, checked = _compare(identity_id, pairs, mutate_at)
+            elapsed = perf_counter() - started
+            return VerificationReport(
+                identity_id, parameters, counterexample is None, counterexample, checked, elapsed
+            )
 
         hook = inspect.Parameter("mutate_at", inspect.Parameter.KEYWORD_ONLY, default=None)
         runner.__signature__ = signature.replace(
             parameters=[*signature.parameters.values(), hook],
             return_annotation="VerificationReport",
         )
-        defaults = tuple((p.name, p.default) for p in signature.parameters.values())
-        REGISTRY[identity_id] = IdentityEntry(identity_id, runner, defaults)
+        REGISTRY[identity_id] = IdentityEntry(identity_id, runner, defaults, bind)
         return runner
 
     return register
@@ -612,12 +628,7 @@ def _registered(identity_id: str) -> IdentityEntry:
 def verify_one(identity_id: str, **overrides) -> VerificationReport:
     """Run a single registered identity check with parameter overrides."""
     entry = _registered(identity_id)
-    accepted = dict(entry.defaults)
-    for name in overrides:
-        if name not in accepted:
-            raise ParameterError(
-                f"identity {identity_id!r} does not accept parameter {name!r}"
-            )
+    entry.bind(**overrides)  # rejects mutate_at, the hook of the verify_* functions only
     return entry.runner(**overrides)
 
 
@@ -628,8 +639,8 @@ def verify_all(config: Optional[dict] = None) -> list[VerificationReport]:
     or parameters raise ParameterError before anything runs.
     """
     config = dict(config or {})
-    for identity_id in config:
-        _registered(identity_id)
+    for identity_id, overrides in config.items():
+        _registered(identity_id).bind(**overrides)
     return [
         verify_one(identity_id, **config.get(identity_id, {}))
         for identity_id in IDENTITY_IDS

@@ -3,15 +3,19 @@
 import dataclasses
 import hashlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from polybern import cli
-from polybern.identities import REGISTRY, Counterexample, VerificationReport
+from polybern.identities import (
+    REGISTRY,
+    Counterexample,
+    ParameterError,
+    VerificationReport,
+    verify_all,
+)
 
 GENOCCHI_CSV = (
     "n,value\n"
@@ -137,16 +141,33 @@ def test_output_to_missing_directory_exits_two(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-def test_unwritable_output_exits_two_before_any_identity_runs(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def no_identity_runs(monkeypatch):
+    """Make every registered runner fail the test if it is called."""
+
     def must_not_run(*args, **kwargs):
-        raise AssertionError("an identity ran before --output was checked")
+        raise AssertionError("an identity ran before the command line was checked")
 
     for identity_id, entry in REGISTRY.items():
         monkeypatch.setitem(REGISTRY, identity_id, dataclasses.replace(entry, runner=must_not_run))
+
+
+def test_unwritable_output_exits_two_before_any_identity_runs(tmp_path, capsys, no_identity_runs):
     target = tmp_path / "missing" / "report.txt"
     code, out, err = run_cli(capsys, "verify", "all", "--output", str(target))
     assert code == 2 and out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_out_of_contract_arguments_fail_before_any_identity_runs(capsys, no_identity_runs):
+    with pytest.raises(
+        ParameterError, match="^identity 'uniqueness-recursion' does not accept parameter 'order'$"
+    ):
+        verify_all({"uniqueness-recursion": {"order": 4}})
+    with pytest.raises(ParameterError, match="^max_m must be an integer >= 2, got 1$"):
+        verify_all({"uniqueness-recursion": {"max_m": 1}})
+    code, out, err = run_cli(capsys, "verify", "all", "--max-m", "1")
+    assert (code, out, err) == (2, "", "error: max_m must be an integer >= 2, got 1\n")
 
 
 def test_failed_run_leaves_output_as_it_was(tmp_path, capsys):
@@ -221,6 +242,53 @@ def test_expand_is_json_only(capsys):
 def test_expand_unknown_function(capsys):
     code, _, err = run_cli(capsys, "expand", "egf-unknown")
     assert code == 2 and "egf-scriptB" in err
+
+
+# ---------------------------------------------------------------------------
+# options a table sequence or expand function does not read
+
+
+OPTIONS = {
+    "table": ("--max-n", "--k", "--m", "--l", "--n"),
+    "expand": ("--order", "--k", "--x", "--n"),
+}
+OPTION_VALUES = {
+    "--max-n": "3", "--k": "2", "--m": "1", "--l": "1", "--n": "1", "--x": "1/2", "--order": "3",
+}
+READS = {
+    ("table", "stirling1"): ("--max-n",),
+    ("table", "stirling2"): ("--max-n",),
+    ("table", "bernoulli"): ("--max-n",),
+    ("table", "genocchi"): ("--max-n",),
+    ("table", "polybernoulli-B"): ("--max-n", "--k"),
+    ("table", "polybernoulli-C"): ("--max-n", "--k"),
+    ("table", "scriptB"): ("--m", "--l", "--n"),
+    ("expand", "egf-B"): ("--order", "--k"),
+    ("expand", "egf-C"): ("--order", "--k"),
+    ("expand", "egf-poly"): ("--order", "--k", "--x"),
+    ("expand", "egf-scriptB"): ("--order", "--n"),
+    ("expand", "ogf-f1"): ("--order",),
+    ("expand", "g1"): ("--order",),
+    ("expand", "beta1"): ("--order",),
+}
+
+
+@pytest.mark.parametrize(
+    "command,target,unread",
+    [
+        (command, target, option)
+        for (command, target), reads in READS.items()
+        for option in OPTIONS[command]
+        if option not in reads
+    ],
+)
+def test_option_the_target_does_not_read_exits_two(capsys, command, target, unread):
+    argv = [command, target]
+    for option in READS[command, target]:
+        argv += [option, OPTION_VALUES[option]]
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, unread, OPTION_VALUES[unread])
+    assert (code, out, err) == (2, "", f"error: {command} {target} does not read {unread}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +423,3 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[2] == "1,-1/2"
-
-
-def test_full_verification_script_runs_from_checkout():
-    # The README line: PYTHONPATH=src python3 scripts/run_full_verification.py
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "scripts/run_full_verification.py", "--quick"],
-        capture_output=True,
-        text=True,
-        check=False,
-        cwd=root,
-        env={**os.environ, "PYTHONPATH": "src"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "13/13 identities verified" in proc.stdout

@@ -111,6 +111,8 @@ def test_reports_are_deterministic():
     a = verify_one("duality", max_l=5, max_m=5, max_n=2)
     b = verify_one("duality", max_l=5, max_m=5, max_n=2)
     assert a == b
+    # the wall time is reported but not compared
+    assert all(isinstance(r.elapsed_s, float) and r.elapsed_s >= 0 for r in (a, b))
 
 
 def test_unknown_identity_and_parameter():
@@ -120,6 +122,9 @@ def test_unknown_identity_and_parameter():
         verify_one("duality", order=5)
     with pytest.raises(ParameterError, match="does not accept"):
         verify_one("beta1-funceq", mutate_at=(("i", 0),))
+    # the registered verifier itself checks its argument names
+    with pytest.raises(ParameterError, match="^identity 'duality' does not accept parameter"):
+        idn.verify_duality(order=5)
 
 
 @pytest.mark.parametrize(
@@ -328,6 +333,7 @@ def test_verify_all_runs_in_registry_order():
     assert all(r.passed for r in reports)
     again = verify_all({identity_id: SMALL[identity_id] for identity_id in IDENTITY_IDS})
     assert reports == again
+    assert all(isinstance(r.elapsed_s, float) and r.elapsed_s >= 0 for r in reports + again)
 
 
 def test_verify_all_partial_config_and_errors():

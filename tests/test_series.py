@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polybern.series import (
@@ -148,6 +148,14 @@ def test_mul_matches_schoolbook_convolution(a, b):
 
 
 @given(series2_any_order(), series2_any_order())
+@example(
+    Series2([[1, -2, Fraction(1, 2), 3], [Fraction(-2, 3), 4, 1], [2, Fraction(3, 4)], [-1]], 3),
+    Series2(
+        [[2, 1, -1, Fraction(1, 3), 5], [Fraction(1, 2), -3, 2, 1], [1, Fraction(-2, 5), 3],
+         [4, -1], [Fraction(3, 2)]],
+        4,
+    ),
+)
 @settings(max_examples=40, deadline=None)
 def test_mul_2d_matches_schoolbook_convolution(a, b):
     n = min(a.order, b.order)
@@ -389,13 +397,23 @@ def assert_same_as_full_order_horner(f, inner):
         assert type(a) is type(b) or (type(a) is int and b.denominator == 1), (a, b)
 
 
+# The fixed examples have every coefficient nonzero, so a broken compose
+# fails on them at once instead of after minutes of shrinking.
 @given(series1, nilpotent1)
+@example(
+    Series1([1, -2, Fraction(1, 2), 3, Fraction(-2, 3), 4, Fraction(3, 4), -1, 2], ORDER),
+    Series1([0, 1, Fraction(-1, 2), 2, Fraction(1, 3), -3, 1, Fraction(2, 5), -1], ORDER),
+)
 @settings(max_examples=60, deadline=None)
 def test_compose_matches_full_order_horner(f, inner):
     assert_same_as_full_order_horner(f, inner)
 
 
 @given(series1_any_order(), series1_any_order())
+@example(
+    Series1([1, -2, Fraction(1, 2), 3, Fraction(-2, 3), 4, Fraction(3, 4), -1], 7),
+    Series1([5, 1, Fraction(-1, 2), 2, Fraction(1, 3), -3], 5),
+)
 @settings(max_examples=60, deadline=None)
 def test_compose_matches_full_order_horner_at_unequal_orders(f, inner):
     assert_same_as_full_order_horner(f, inner - inner.constant_term)
