@@ -93,7 +93,13 @@ def _compare(
     return None, checked
 
 
-def _verifier(identity_id: str, *, used_by_mode: Optional[dict] = None, **minimums: int):
+def _verifier(
+    identity_id: str,
+    *,
+    used_by_mode: Optional[dict] = None,
+    check: Optional[Callable[..., None]] = None,
+    **minimums: int,
+):
     """Make a pair generator the registered verifier of ``identity_id``.
 
     This is the one place that checks a verifier's arguments, and the check
@@ -101,7 +107,9 @@ def _verifier(identity_id: str, *, used_by_mode: Optional[dict] = None, **minimu
     an integer below its minimum raises ParameterError.  For a generator
     with a ``mode`` parameter, ``used_by_mode`` maps each mode to the
     mode-specific parameters it reads; giving one that the chosen mode does
-    not read is an error too.  The generator may instead return
+    not read is an error too.  ``check``, given the arguments by name once
+    the minimums hold, raises ParameterError for a combination of them that
+    is out of contract.  The generator may instead return
     ``(parameters, pairs)`` when the parameters to report are not simply
     its arguments.
     """
@@ -124,6 +132,8 @@ def _verifier(identity_id: str, *, used_by_mode: Optional[dict] = None, **minimu
                 _require_index(name, arguments[name], minimum)
             if used_by_mode is not None:
                 _require_used_by_mode(arguments["mode"], given, used_by_mode)
+            if check is not None:
+                check(**arguments)
             return arguments
 
         @wraps(pairs_of)
@@ -415,15 +425,18 @@ def verify_trivariate(order: int = 6) -> Iterator[CheckPair]:
         geometric = geometric * inverse_d
 
 
-@_verifier("stirling-expansion", n=0, r=0, order=1)
+def _require_r_at_least_n(n: int, r: int, order: int) -> None:
+    if r < n:
+        raise ParameterError(f"requires r >= n, got n={n}, r={r}")
+
+
+@_verifier("stirling-expansion", check=_require_r_at_least_n, n=0, r=0, order=1)
 def verify_stirling_expansion(n: int = 3, r: int = 6, order: int = 12) -> Iterator[CheckPair]:
     """Two expansions with mixed Stirling weights, valid for r >= n >= 0:
 
     A:  e^{nt}(e^t-1)^{r-n}/(r-n)!  =  sum_m [sum_i (-1)^{n-i} [n i] {m+i brace r}] t^m/m!
     B:  sum_i {n brace i} e^{it}(e^t-1)^{r-i}/(r-i)!  =  sum_m {m+n brace r} t^m/m!
     """
-    if r < n:
-        raise ParameterError(f"requires r >= n, got n={n}, r={r}")
     lhs_a = _exp_shift_power(n, r - n, order)
     for m in range(order + 1):
         rhs = sum(

@@ -25,36 +25,62 @@ from .series import Series1, polylog_over_argument
 
 
 class RationalPolynomial:
-    """A polynomial with exact coefficients, stored lowest degree first."""
+    """A polynomial with int or Fraction coefficients, stored lowest degree first.
 
-    __slots__ = ("coeffs",)
+    The coefficients are also kept as integer numerators over one common
+    denominator, so a value at p/q is Horner's rule on ints followed by one
+    Fraction.  Instances are immutable and may be shared.
+    """
+
+    __slots__ = ("_coeffs", "_numerators", "_denominator", "_integral")
 
     def __init__(self, coeffs) -> None:
         trimmed = list(coeffs)
         while len(trimmed) > 1 and trimmed[-1] == 0:
             trimmed.pop()
-        self.coeffs = tuple(trimmed) if trimmed else (0,)
+        self._coeffs = tuple(trimmed) if trimmed else (0,)
+        for c in self._coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
+        self._integral = all(isinstance(c, int) for c in self._coeffs)
+        den = lcm(*(c.denominator for c in self._coeffs))
+        # Highest degree first, the order in which Horner's rule reads them.
+        self._numerators = tuple(c.numerator * (den // c.denominator) for c in self._coeffs[::-1])
+        self._denominator = den
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._coeffs) - 1
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at an int or Fraction x: an int when x and every coefficient are ints."""
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"argument must be int or Fraction, got {x!r}")
+        p, q = x.numerator, x.denominator
+        # sum_i a_i p^i q^(d-i), read from the top coefficient down.
+        numerators = iter(self._numerators)
+        acc, scale = next(numerators), 1
+        for a in numerators:
+            scale *= q
+            acc = acc * p + a * scale
+        if self._integral and isinstance(x, int):
+            return acc
+        return Fraction(acc, self._denominator * scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)  # hash(n) == hash(Fraction(n))
+        return hash(self._coeffs)  # hash(n) == hash(Fraction(n))
 
     def __repr__(self) -> str:
-        return f"RationalPolynomial({list(self.coeffs)!r})"
+        return f"RationalPolynomial({list(self._coeffs)!r})"
 
 
 # Bernoulli and Genocchi numbers, indexed by n, grown together under one lock.
@@ -166,8 +192,12 @@ def poly_bernoulli_B(n: int, k: int):
     return poly_bernoulli_at_integer(n, k, 0)
 
 
+@cache
 def poly_bernoulli_polynomial(n: int, k: int) -> RationalPolynomial:
-    """The degree-n poly-Bernoulli polynomial of order k in one variable."""
+    """The degree-n poly-Bernoulli polynomial of order k in one variable.
+
+    One shared, immutable instance per (n, k).
+    """
     if n < 0:
         raise ValueError("degree must be non-negative")
     coeffs = [
@@ -183,11 +213,14 @@ def poly_bernoulli_C(n: int, k: int):
     return poly_bernoulli_at_integer(n, k, 1)
 
 
+@cache
 def script_B_def(m: int, l: int, n: int):
     """Stirling-weighted sum of B-type values: the defining route.
 
     sum over j of stirling_first(n, j) * B_m^(-l-j)(n).  Symmetric in
     (l, m), reduces to B_m^(-l) at n = 0 and to C_m^(-l-1) at n = 1.
+    Cached by (m, l, n) as given, so the two sides of the duality
+    script_B_def(m, l, n) = script_B_def(l, m, n) are computed apart.
     """
     if m < 0 or l < 0 or n < 0:
         raise ValueError("all three indices must be non-negative")

@@ -168,6 +168,8 @@ def test_out_of_contract_arguments_fail_before_any_identity_runs(capsys, no_iden
         verify_all({"uniqueness-recursion": {"max_m": 1}})
     code, out, err = run_cli(capsys, "verify", "all", "--max-m", "1")
     assert (code, out, err) == (2, "", "error: max_m must be an integer >= 2, got 1\n")
+    code, out, err = run_cli(capsys, "verify", "all", "--r", "2")
+    assert (code, out, err) == (2, "", "error: requires r >= n, got n=3, r=2\n")
 
 
 def test_failed_run_leaves_output_as_it_was(tmp_path, capsys):

@@ -267,6 +267,15 @@ def test_polynomial_at_integer_matches_double_sum():
                 assert p(n) == poly_bernoulli_at_integer(m, k, n)
 
 
+def test_script_b_def_caches_each_argument_order_apart():
+    # The duality check compares script_B_def(m, l, n) with script_B_def(l, m, n):
+    # a key that sorted m and l would compare one cached value with itself.
+    script_B_def.cache_clear()
+    assert script_B_def(2, 5, 3) == script_B_def(5, 2, 3)
+    info = script_B_def.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+
+
 def test_script_b_routes_agree():
     for m in range(9):
         for l in range(9):
@@ -305,3 +314,66 @@ def test_rational_polynomial_basics():
     assert q != RationalPolynomial([1, 2, 3])
     zero = RationalPolynomial([])
     assert zero.degree == 0 and zero(5) == 0
+
+
+def value_by_horner(coeffs, x):
+    """The value of a coefficient list at x by Horner's rule on the numbers as given."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+POLYNOMIAL_COEFFS = [
+    [],
+    [0],
+    [-3],
+    [1, -2, 0, 5],
+    [Fraction(1, 2), 0, -3],
+    [2, Fraction(3, 1)],
+    [Fraction(4, 1), Fraction(-2, 1)],
+    [Fraction(-1, 3), Fraction(5, 6), Fraction(7, 4), 2, Fraction(-9, 10)],
+]
+POLYNOMIAL_POINTS = [0, 1, -1, 3, -7, True, False, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 1)]
+
+
+def test_polynomial_values_and_types_match_horner_on_the_numbers():
+    # The value comes from integer numerators; it must equal Horner's rule on
+    # the coefficients themselves, and be an int exactly when that is.
+    polynomials = [RationalPolynomial(cs) for cs in POLYNOMIAL_COEFFS]
+    polynomials += [poly_bernoulli_polynomial(n, k) for n in range(12) for k in (-3, 0, 2)]
+    for p in polynomials:
+        for x in POLYNOMIAL_POINTS:
+            got, expected = p(x), value_by_horner(p.coeffs, x)
+            assert type(got) is type(expected) and got == expected, (p, x)
+    assert type(RationalPolynomial([1, 2])(3)) is int
+    assert type(RationalPolynomial([1, Fraction(2, 1)])(3)) is Fraction
+    assert type(RationalPolynomial([1, 2])(Fraction(3, 1))) is Fraction
+
+
+def test_polynomial_rejects_inexact_numbers():
+    with pytest.raises(TypeError):
+        RationalPolynomial([1, 2])(0.5)
+    with pytest.raises(TypeError):
+        RationalPolynomial([1, 0.5])
+    with pytest.raises(TypeError):
+        RationalPolynomial([1, 2])("1/2")
+
+
+def polynomial_by_coefficient_formula(n, k):
+    """sum_d (-1)^d C(n, d) B_(n-d)^(k) x^d, the coefficients built afresh."""
+    return RationalPolynomial(
+        [(-1) ** d * comb(n, d) * poly_bernoulli_B(n - d, k) for d in range(n + 1)]
+    )
+
+
+def test_poly_bernoulli_polynomial_is_one_shared_immutable_instance():
+    for n in range(10):
+        for k in range(-4, 4):
+            p = poly_bernoulli_polynomial(n, k)
+            assert p is poly_bernoulli_polynomial(n, k)
+            expected = polynomial_by_coefficient_formula(n, k)
+            assert p == expected
+            assert [type(c) for c in p.coeffs] == [type(c) for c in expected.coeffs]
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
