@@ -425,7 +425,7 @@ def verify_trivariate(order: int = 6) -> Iterator[CheckPair]:
         geometric = geometric * inverse_d
 
 
-def _require_r_at_least_n(n: int, r: int, order: int) -> None:
+def _require_r_at_least_n(n: int, r: int, **_) -> None:
     if r < n:
         raise ParameterError(f"requires r >= n, got n={n}, r={r}")
 
