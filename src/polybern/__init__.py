@@ -22,7 +22,6 @@ from .series import (
     Series2,
     egf_coefficient,
     polylog_over_argument,
-    polylog_substitute,
     product_xy,
 )
 from .polybernoulli import (
@@ -68,7 +67,6 @@ __all__ = [
     "Series2",
     "egf_coefficient",
     "polylog_over_argument",
-    "polylog_substitute",
     "product_xy",
     # poly-Bernoulli
     "RationalPolynomial",

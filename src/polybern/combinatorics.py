@@ -2,8 +2,10 @@
 
 All values are plain Python ints (arbitrary precision), so everything here
 is exact at any index reachable in practice.  The two Stirling triangles are
-memoized for the process lifetime and grown on demand; growth is guarded by
-a lock so concurrent readers always see a consistent triangle.
+growing tables, memoized for the process lifetime and grown on demand under
+a lock, so concurrent readers always see a consistent triangle;
+``polybernoulli`` keeps the Bernoulli and Genocchi numbers in one table of
+the same type.
 """
 
 from __future__ import annotations
@@ -13,62 +15,70 @@ from fractions import Fraction
 from math import comb, factorial
 
 
-class StirlingTable:
-    """Memoized triangle of (unsigned) Stirling numbers of one kind.
+class _GrowingTable:
+    """Rows 0, 1, 2, ... of an exact table, built on demand for the process lifetime.
 
-    rows[n][m] holds the value for 0 <= m <= n.  The first kind satisfies
-    rows[n+1][m] = rows[n][m-1] + n*rows[n][m], the second kind
-    rows[n+1][m] = rows[n][m-1] + m*rows[n][m], both with rows[0][0] = 1.
+    ``build(rows, stop)`` returns the rows ``len(rows)`` to ``stop - 1`` as
+    tuples, and may read the rows before them.  The table grows to at least twice its
+    size at a time, so that the queries 0, 1, 2, ... build only O(log n)
+    times.  Growth runs under a lock, and its rows are published by one
+    ``list.extend`` once all are built, so a reader never sees a partial
+    growth.  Rows are tuples, so a lookup hands out the stored row itself.
     """
 
-    def __init__(self, kind: str):
-        if kind not in ("first", "second"):
-            raise ValueError(f"unknown Stirling kind: {kind!r}")
-        self.kind = kind
-        self._rows = [[1]]
+    def __init__(self, rows, build):
+        self._rows = list(rows)
+        self._build = build
         self._lock = threading.Lock()
 
-    def _grow(self, n: int) -> None:
-        # Double the capacity so repeated nearby queries stay amortized cheap.
-        target = max(n, 2 * (len(self._rows) - 1))
-        first = self.kind == "first"
-        while len(self._rows) <= target:
-            prev = self._rows[-1]
-            k = len(prev)  # building row index k from row k-1
-            row = [0] * (k + 1)
-            for m in range(1, k + 1):
-                above = prev[m] if m < k else 0
-                row[m] = prev[m - 1] + (k - 1 if first else m) * above
-            self._rows.append(row)
-
-    def value(self, n: int, m: int) -> int:
-        if n < 0 or m < 0:
-            raise ValueError("Stirling indices must be non-negative")
-        if m > n:
-            return 0
-        if n >= len(self._rows):
+    def row(self, n: int) -> tuple:
+        if n < 0:
+            raise ValueError("index must be non-negative")
+        rows = self._rows
+        if n >= len(rows):
             with self._lock:
-                if n >= len(self._rows):
-                    self._grow(n)
-        return self._rows[n][m]
-
-    def row(self, n: int) -> list[int]:
-        self.value(n, 0)  # force growth
-        return list(self._rows[n])
+                if n >= len(rows):
+                    rows.extend(self._build(rows, max(n + 1, 2 * len(rows))))
+        return rows[n]
 
 
-_FIRST = StirlingTable("first")
-_SECOND = StirlingTable("second")
+def _stirling_triangle(first: bool) -> _GrowingTable:
+    """Unsigned Stirling numbers of one kind; row n holds the values for m = 0..n.
+
+    The first kind satisfies [k m] = [k-1 m-1] + (k-1) [k-1 m], the second
+    kind {k m} = {k-1 m-1} + m {k-1 m}, both with a single 1 in row 0.
+    """
+
+    def build(rows, stop):
+        new, prev = [], rows[-1]
+        for k in range(len(rows), stop):
+            above = (*prev, 0)
+            prev = (
+                0,
+                *(above[m - 1] + (k - 1 if first else m) * above[m] for m in range(1, k + 1)),
+            )
+            new.append(prev)
+        return new
+
+    return _GrowingTable([(1,)], build)
+
+
+_FIRST = _stirling_triangle(first=True)
+_SECOND = _stirling_triangle(first=False)
 
 
 def stirling_first(n: int, m: int) -> int:
     """Unsigned Stirling number of the first kind [n m]; 0 when m > n."""
-    return _FIRST.value(n, m)
+    if n < 0 or m < 0:
+        raise ValueError("Stirling indices must be non-negative")
+    return _FIRST.row(n)[m] if m <= n else 0
 
 
 def stirling_second(n: int, m: int) -> int:
     """Stirling number of the second kind {n m}; 0 when m > n."""
-    return _SECOND.value(n, m)
+    if n < 0 or m < 0:
+        raise ValueError("Stirling indices must be non-negative")
+    return _SECOND.row(n)[m] if m <= n else 0
 
 
 def binomial(n: int, k: int) -> int:
@@ -113,7 +123,6 @@ def format_rational(value) -> str:
 
 
 __all__ = [
-    "StirlingTable",
     "stirling_first",
     "stirling_second",
     "binomial",

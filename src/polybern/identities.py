@@ -108,10 +108,10 @@ def _verifier(
     with a ``mode`` parameter, ``used_by_mode`` maps each mode to the
     mode-specific parameters it reads; giving one that the chosen mode does
     not read is an error too.  ``check``, given the arguments by name once
-    the minimums hold, raises ParameterError for a combination of them that
-    is out of contract.  The generator may instead return
-    ``(parameters, pairs)`` when the parameters to report are not simply
-    its arguments.
+    the minimums hold, raises ParameterError (or DomainError, for a point on
+    a pole) for a combination of them that is out of contract.  The
+    generator may instead return ``(parameters, pairs)`` when the
+    parameters to report are not simply its arguments.
     """
 
     def register(pairs_of: Callable[..., Iterable[CheckPair]]):
@@ -537,6 +537,26 @@ def _sample_point(point) -> Fraction:
     )
 
 
+def _sample_points(n: int, mode: str, points, **_) -> tuple[Fraction, ...]:
+    """The sample points, parsed: at least one, and none a pole of the identity.
+
+    The ``check`` of ``funceq-remainder``.  ``points`` must be a tuple or a
+    list, because ``bind`` reads it before the verifier does.
+    """
+    if mode != "sample":
+        return ()
+    if points is None:
+        points = _DEFAULT_SAMPLE_POINTS
+    if not isinstance(points, (tuple, list)):
+        raise ParameterError(f"points must be a tuple or a list, got {points!r}")
+    sample_points = tuple(_sample_point(p) for p in points)
+    if not sample_points:
+        raise ParameterError("sample mode needs at least one point")
+    for x in sample_points:
+        _guard_sample_point(x, n)
+    return sample_points
+
+
 def _remainder_sides_at(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
     """Both sides of the remainder identity evaluated exactly at x."""
     c0, c1, c2 = _remainder_prefactor_poly(n)
@@ -553,7 +573,11 @@ def _remainder_sides_at(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
 
 
 @_verifier(
-    "funceq-remainder", used_by_mode={"series": ("order",), "sample": ("points",)}, n=0, order=1
+    "funceq-remainder",
+    used_by_mode={"series": ("order",), "sample": ("points",)},
+    check=_sample_points,
+    n=0,
+    order=1,
 )
 def verify_funceq_remainder(
     n: int = 4, mode: str = "series", order: int = 30, points=None
@@ -586,14 +610,8 @@ def verify_funceq_remainder(
         )
         return {"n": n, "mode": mode, "order": order}, _coefficient_pairs(lhs, rhs)
 
-    if points is None:
-        points = _DEFAULT_SAMPLE_POINTS
-    sample_points = tuple(_sample_point(p) for p in points)
-    if not sample_points:
-        raise ParameterError("sample mode needs at least one point")
+    sample_points = _sample_points(n, mode, points)
     parameters = {"n": n, "mode": mode, "points": [format_rational(p) for p in sample_points]}
-    for x in sample_points:
-        _guard_sample_point(x, n)
     return parameters, (((("x", x),), *_remainder_sides_at(n, x)) for x in sample_points)
 
 

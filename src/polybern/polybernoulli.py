@@ -11,16 +11,17 @@ Two independent computation routes are provided on purpose:
 
 All values are exact: `int` where integrality is guaranteed, `Fraction`
 otherwise.  Bernoulli numbers use the convention with second value -1/2.
+The caches are typed, so that an answer never depends on what they hold:
+`2.0` equals `2` and hashes alike, but is not served the answer for `2`.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .combinatorics import _FIRST, _SECOND
+from .combinatorics import _FIRST, _SECOND, _GrowingTable
 from .series import Series1, polylog_over_argument
 
 
@@ -83,12 +84,6 @@ class RationalPolynomial:
         return f"RationalPolynomial({list(self._coeffs)!r})"
 
 
-# Bernoulli and Genocchi numbers, indexed by n, grown together under one lock.
-_bernoulli_table: list[Fraction] = []
-_genocchi_table: list[int] = []
-_tables_lock = threading.Lock()
-
-
 def _tangent_numbers(m: int) -> list[int]:
     """[0, T_1, ..., T_m], where tan x = sum of T_k x^(2k-1) / (2k-1)!.
 
@@ -104,53 +99,39 @@ def _tangent_numbers(m: int) -> list[int]:
     return t
 
 
-def _grow_tables(n: int) -> None:
-    # Double the capacity, as StirlingTable does, so that queries 0, 1, 2, ...
-    # recompute the tangent numbers only O(log n) times.
-    size = len(_bernoulli_table)
-    target = max(n, 2 * (size - 1))
-    tangent = _tangent_numbers(target // 2)
+def _bernoulli_genocchi_rows(rows, stop: int) -> list:
+    """The rows (B_i, G_i) for i = len(rows)..stop-1, i >= 2, from the tangent numbers."""
+    tangent = _tangent_numbers((stop - 1) // 2)
     zero = Fraction(0)
-    b_new, g_new = [], []
-    for i in range(size, target + 1):
-        if i < 2:
-            b, g = (Fraction(1), Fraction(-1, 2))[i], i
-        elif i % 2:
-            b, g = zero, 0
+    new = []
+    for i in range(len(rows), stop):
+        if i % 2:
+            new.append((zero, 0))
         else:
             k = i // 2
             # G_2k = (-1)^k k T_k / 4^(k-1), and B_n = G_n / (2 (1 - 2^n)).
             g = (-1) ** k * k * tangent[k] // 4 ** (k - 1)
-            b = Fraction(g, 2 * (1 - 4**k))
-        b_new.append(b)
-        g_new.append(g)
-    # Extended only once complete, so a failure part way through cannot
-    # leave the two tables with different lengths.
-    _bernoulli_table.extend(b_new)
-    _genocchi_table.extend(g_new)
+            new.append((Fraction(g, 2 * (1 - 4**k)), g))
+    return new
 
 
-def _table_entry(table: list, n: int):
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if n >= len(table):
-        with _tables_lock:
-            if n >= len(table):
-                _grow_tables(n)
-    return table[n]
+# Row n is the pair (B_n, G_n).
+_BERNOULLI_GENOCCHI = _GrowingTable(
+    [(Fraction(1), 0), (Fraction(-1, 2), 1)], _bernoulli_genocchi_rows
+)
 
 
 def bernoulli(n: int) -> Fraction:
     """The n-th Bernoulli number, with bernoulli(1) == -1/2."""
-    return _table_entry(_bernoulli_table, n)
+    return _BERNOULLI_GENOCCHI.row(n)[0]
 
 
 def genocchi(n: int) -> int:
     """The n-th Genocchi number 2*(1 - 2**n)*bernoulli(n); always an integer."""
-    return _table_entry(_genocchi_table, n)
+    return _BERNOULLI_GENOCCHI.row(n)[1]
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _stirling_vector(m: int, n: int) -> tuple[int, ...]:
     """v[q-1] = (q-1)! sum_i (-1)^(m+n+q-i-1) [n i] {m+i, n+q-1}, q = 1..m+1.
 
@@ -169,7 +150,7 @@ def _stirling_vector(m: int, n: int) -> tuple[int, ...]:
     return tuple(vector)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def poly_bernoulli_at_integer(m: int, k: int, n: int):
     """The degree-m poly-Bernoulli polynomial of order k evaluated at integer n.
 
@@ -192,7 +173,7 @@ def poly_bernoulli_B(n: int, k: int):
     return poly_bernoulli_at_integer(n, k, 0)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def poly_bernoulli_polynomial(n: int, k: int) -> RationalPolynomial:
     """The degree-n poly-Bernoulli polynomial of order k in one variable.
 
@@ -208,12 +189,10 @@ def poly_bernoulli_polynomial(n: int, k: int) -> RationalPolynomial:
 
 def poly_bernoulli_C(n: int, k: int):
     """C-type poly-Bernoulli number: the polynomial evaluated at one."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
     return poly_bernoulli_at_integer(n, k, 1)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def script_B_def(m: int, l: int, n: int):
     """Stirling-weighted sum of B-type values: the defining route.
 
@@ -229,7 +208,7 @@ def script_B_def(m: int, l: int, n: int):
     )
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def script_B_closed(m: int, l: int, n: int) -> int:
     """Closed form of script_B_def as a single positive sum; always an integer.
 

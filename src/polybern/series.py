@@ -333,11 +333,6 @@ class Series2:
         return cls([[value]], order)
 
     @classmethod
-    def variable(cls, index: int, order: int) -> "Series2":
-        """The coordinate series: index 0 is the first variable, 1 the second."""
-        return cls.embed(Series1.variable(order), index)
-
-    @classmethod
     def embed(cls, series: Series1, index: int, order: int | None = None) -> "Series2":
         """Lift a univariate series into variable 0 or 1 of a bivariate ring."""
         if order is None:
@@ -476,11 +471,6 @@ def polylog_over_argument(k: int, z):
     return acc
 
 
-def polylog_substitute(k: int, inner):
-    """Li_k(inner) = sum_{m>=1} inner**m / m**k; inner needs zero constant term."""
-    return inner * polylog_over_argument(k, inner)
-
-
 def egf_coefficient(series, exponents):
     """Coefficient times the factorial(s) of the exponent(s): EGF-normalized value."""
     if isinstance(series, Series1):
@@ -496,6 +486,5 @@ __all__ = [
     "Series2",
     "product_xy",
     "polylog_over_argument",
-    "polylog_substitute",
     "egf_coefficient",
 ]

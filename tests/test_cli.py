@@ -16,6 +16,7 @@ from polybern.identities import (
     VerificationReport,
     verify_all,
 )
+from polybern.series import DomainError
 
 GENOCCHI_CSV = (
     "n,value\n"
@@ -170,6 +171,10 @@ def test_out_of_contract_arguments_fail_before_any_identity_runs(capsys, no_iden
     assert (code, out, err) == (2, "", "error: max_m must be an integer >= 2, got 1\n")
     code, out, err = run_cli(capsys, "verify", "all", "--r", "2")
     assert (code, out, err) == (2, "", "error: requires r >= n, got n=3, r=2\n")
+    with pytest.raises(ParameterError, match="^sample point must be .*, got 0.1$"):
+        verify_all({"funceq-remainder": {"mode": "sample", "points": (0.1,)}})
+    with pytest.raises(DomainError, match="^sample point 1/100 is a pole of factor 1-100x$"):
+        verify_all({"funceq-remainder": {"mode": "sample", "n": 100}})
 
 
 def test_failed_run_leaves_output_as_it_was(tmp_path, capsys):
@@ -244,6 +249,20 @@ def test_expand_is_json_only(capsys):
 def test_expand_unknown_function(capsys):
     code, _, err = run_cli(capsys, "expand", "egf-unknown")
     assert code == 2 and "egf-scriptB" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("table scriptB --m -1 --l 0 --n 0", "scriptB indices must be non-negative"),
+        ("expand g1 --order -1", "--order must be non-negative"),
+        ("expand egf-poly --k 1", "expand egf-poly requires --x (a rational such as 1/2)"),
+        ("expand egf-scriptB", "expand egf-scriptB requires --n"),
+        ("expand egf-scriptB --n -1", "--n must be non-negative"),
+    ],
+)
+def test_out_of_range_option_exits_two_with_its_message(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Stirling/binomial layer: oracles, recurrences, orthogonality, threading."""
 
+import sys
 import threading
 from fractions import Fraction
 from math import comb, factorial
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybern.combinatorics import (
-    StirlingTable,
+    _stirling_triangle,
     binomial,
     format_rational,
     orthogonality_check,
@@ -122,27 +123,40 @@ def test_triangle_support(n, m):
 
 
 def test_tables_are_thread_safe():
-    table = StirlingTable("second")
-    errors = []
-
-    def hammer(seed):
+    # Fresh tables, each grown and read by more threads than cores released at
+    # once, with a short switch interval so that they interleave inside growth.
+    def hammer(table, start, seed, errors):
         try:
-            for n in range(seed, 120, 7):
+            start.wait(60)
+            for n in range(seed, 300, 7):
                 expected = stirling_second(n, min(n, 3))
-                assert table.value(n, min(n, 3)) == expected
+                assert table.row(n)[min(n, 3)] == expected
         except Exception as exc:  # pragma: no cover - only on race
             errors.append(exc)
 
-    threads = [threading.Thread(target=hammer, args=(s,)) for s in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            table, start, errors = _stirling_triangle(first=False), threading.Barrier(8), []
+            threads = [
+                threading.Thread(target=hammer, args=(table, start, s, errors)) for s in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_table_row_copies_are_isolated():
-    table = StirlingTable("first")
+    # A lookup hands out the stored row, a tuple, so no caller can change it.
+    table = _stirling_triangle(first=True)
     row = table.row(6)
-    row[0] = 999
-    assert table.row(6)[0] == 0
+    with pytest.raises(TypeError):
+        row[0] = 999
+    assert table.row(6) is row
+    assert row == (0, 120, 274, 225, 85, 15, 1)

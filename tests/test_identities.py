@@ -146,6 +146,7 @@ def test_unknown_identity_and_parameter():
         ("kernel-closed-form", dict(n=True)),
         ("funceq-remainder", dict(mode="sample", points=(0.1,))),
         ("funceq-remainder", dict(mode="sample", points=("abc",))),
+        ("funceq-remainder", dict(mode="sample", points="1/50")),
         ("funceq-remainder", dict(mode="sample", order=0)),
         ("funceq-remainder", dict(mode="sample", order=30)),
         ("funceq-remainder", dict(points=(Fraction(1, 100),))),

@@ -6,9 +6,11 @@ they share no code path with the Stirling double sum.
 """
 
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 from pathlib import Path
 
@@ -16,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polybern import cli
 from polybern.combinatorics import stirling_first, stirling_second
 from polybern.polybernoulli import (
     RationalPolynomial,
+    _stirling_vector,
     bernoulli,
     egf_bernoulli,
     egf_genocchi,
@@ -157,12 +161,66 @@ def test_double_sum_against_egf_oracle():
             assert egf_coefficient(series_c, n) == poly_bernoulli_C(n, k), (n, k)
 
 
-def test_readme_series_snippet():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    snippet = re.search(r"Series work the same way:\s*```python\n(.*?)```", readme, re.S)
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+README_COMMANDS = [
+    line.split("#")[0].strip()
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+    for line in block.splitlines()
+    if line.startswith("polybern ")
+]
+
+
+def run_readme_python_block(after: str) -> tuple[dict, str]:
+    """Run the first python block after the text ``after``: its namespace and its text."""
+    block = re.search(re.escape(after) + r"\s*```python\n(.*?)```", README, re.S).group(1)
     namespace = {}
-    exec(snippet.group(1), namespace)
+    exec(block, namespace)
+    return namespace, block
+
+
+def check_readme_quickstart():
+    # A line `expression  # value` claims that value, when the comment up to
+    # its first double space is itself an expression.
+    namespace, block = run_readme_python_block("## Library quickstart")
+    claimed = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            value = eval(comment.strip().split("  ")[0], namespace)
+        except (SyntaxError, NameError):
+            continue
+        got = eval(code, namespace)
+        assert type(got) is type(value) and got == value, line
+        claimed.append(code.strip())
+    assert claimed == [
+        "bernoulli(12)",
+        "genocchi(8)",
+        "poly_bernoulli_B(5, -1)",
+        "poly_bernoulli_C(5, -2)",
+        "report.passed",
+        "report.checked_count",
+    ]
+
+
+def check_readme_series_snippet():
+    namespace, _ = run_readme_python_block("Series work the same way:")
     assert namespace["egf"][3] * factorial(3) == poly_bernoulli_B(3, 2)
+
+
+def check_readme_command(command):
+    assert cli.run(shlex.split(command)[1:]) == 0
+
+
+README_EXAMPLES = {
+    "quickstart": check_readme_quickstart,
+    "series": check_readme_series_snippet,
+    **{command: partial(check_readme_command, command) for command in README_COMMANDS},
+}
+
+
+@pytest.mark.parametrize("example", README_EXAMPLES)
+def test_readme_examples(example):
+    README_EXAMPLES[example]()
 
 
 def test_polynomial_egf_against_coefficient_route():
@@ -274,6 +332,60 @@ def test_script_b_def_caches_each_argument_order_apart():
     assert script_B_def(2, 5, 3) == script_B_def(5, 2, 3)
     info = script_B_def.cache_info()
     assert (info.hits, info.misses) == (0, 2)
+
+
+CACHED_ROUTES = (
+    poly_bernoulli_at_integer,
+    poly_bernoulli_polynomial,
+    script_B_def,
+    script_B_closed,
+    _stirling_vector,
+)
+
+
+@pytest.mark.parametrize(
+    "route,args",
+    [
+        (poly_bernoulli_at_integer, (2, 1, 1)),
+        (poly_bernoulli_at_integer, (2, -1, 0)),
+        (poly_bernoulli_polynomial, (2, 1)),
+        (script_B_def, (2, 1, 1)),
+        (script_B_closed, (2, 1, 1)),
+    ],
+)
+def test_cached_route_answers_alike_cold_and_warm(route, args):
+    # 2.0 equals 2 and hashes alike, but it is no index: it must raise
+    # TypeError whether or not the cache already holds the answer for 2.
+    inexact = (float(args[0]), *args[1:])
+    for cached in CACHED_ROUTES:
+        cached.cache_clear()
+    with pytest.raises(TypeError):
+        route(*inexact)
+    value = route(*args)
+    with pytest.raises(TypeError):
+        route(*inexact)
+    assert route(*args) == value
+
+
+@pytest.mark.parametrize(
+    "fn,args,message",
+    [
+        (stirling_first, (-1, 0), "Stirling indices must be non-negative"),
+        (stirling_second, (0, -1), "Stirling indices must be non-negative"),
+        (stirling_first, (2, -3), "Stirling indices must be non-negative"),
+        (bernoulli, (-1,), "index must be non-negative"),
+        (genocchi, (-1,), "index must be non-negative"),
+        (poly_bernoulli_at_integer, (-1, 0, 0), "degree and evaluation point must be non-negative"),
+        (poly_bernoulli_at_integer, (0, 0, -1), "degree and evaluation point must be non-negative"),
+        (poly_bernoulli_C, (-1, 0), "degree and evaluation point must be non-negative"),
+        (poly_bernoulli_polynomial, (-1, 0), "degree must be non-negative"),
+        (script_B_def, (-1, 0, 0), "all three indices must be non-negative"),
+        (script_B_closed, (0, -1, 0), "all three indices must be non-negative"),
+    ],
+)
+def test_negative_index_raises_value_error(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(*args)
 
 
 def test_script_b_routes_agree():

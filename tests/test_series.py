@@ -13,7 +13,6 @@ from polybern.series import (
     Series2,
     egf_coefficient,
     polylog_over_argument,
-    polylog_substitute,
     product_xy,
 )
 
@@ -25,6 +24,16 @@ series1 = st.lists(coeff, min_size=ORDER + 1, max_size=ORDER + 1).map(
 )
 unit1 = series1.filter(lambda s: s.constant_term != 0)
 nilpotent1 = series1.map(lambda s: s - Series1.constant(s.constant_term, ORDER))
+
+
+def coordinate(index, order):
+    """The bivariate coordinate series x (index 0) or y (index 1)."""
+    return Series2.embed(Series1.variable(order), index)
+
+
+def polylog(k, inner):
+    """Li_k(inner) = sum_{m>=1} inner**m / m**k, as inner times Li_k(inner)/inner."""
+    return inner * polylog_over_argument(k, inner)
 
 
 def random_series2(draw_coeffs):
@@ -78,15 +87,15 @@ def test_constructors_and_getitem():
         s[6]
     assert Series1.monomial(7, 2, 4)[2] == 7
     assert Series1.variable(3) == Series1([0, 1], 3)
-    t = Series2.variable(1, 3)
+    t = Series2.embed(Series1.variable(3), 1)
     assert t[0, 1] == 1 and t[1, 0] == 0
     assert t.rows == (Series1([0, 1], 3), Series1.zero(2), Series1.zero(1), Series1.zero(0))
     assert t.coeffs == ((0, 1, 0, 0), (0, 0, 0), (0, 0), (0,))
     with pytest.raises(IndexError):
         t[2, 2]
-    assert Series2.variable(0, 0) == Series2.zero(0)
+    assert Series2.embed(Series1.variable(0), 0) == Series2.zero(0)
     with pytest.raises(ValueError):
-        Series2.variable(2, 3)
+        Series2.embed(Series1.variable(3), 2)
 
 
 def test_equality_requires_same_order():
@@ -298,7 +307,7 @@ def test_geometric_series():
     with pytest.raises(DomainError):
         Series1.variable(4).inverse()
     with pytest.raises(DomainError):
-        Series2.variable(0, 4).inverse()
+        coordinate(0, 4).inverse()
 
 
 @given(unit1, st.integers(-4, 4))
@@ -340,7 +349,7 @@ def test_exp_explicit():
     with pytest.raises(DomainError):
         Series2.one(3).exp()
     # 2D: exp(x + y) = exp(x) exp(y)
-    x, y = Series2.variable(0, 6), Series2.variable(1, 6)
+    x, y = coordinate(0, 6), coordinate(1, 6)
     ex = Series1.variable(6).exp()
     assert (x + y).exp() == product_xy(ex, ex)
 
@@ -355,7 +364,7 @@ def test_derivative_is_leibniz(a, b):
 
 def test_derivative_2d_mixed_partials_commute():
     ex = Series1.variable(6).exp()
-    s = product_xy(ex, ex + 1) + Series2.variable(0, 6) * 3
+    s = product_xy(ex, ex + 1) + coordinate(0, 6) * 3
     assert s.derivative(0).derivative(1) == s.derivative(1).derivative(0)
     assert s.derivative(0).order == 5
 
@@ -459,7 +468,7 @@ def test_mobius_substitution():
 def test_polylog_log_oracle():
     # Li_1(z) = -log(1-z) = sum z^m / m
     z = Series1.variable(10)
-    li1 = polylog_substitute(1, z)
+    li1 = polylog(1, z)
     assert li1 == Series1([0] + [Fraction(1, m) for m in range(1, 11)], 10)
     # and its derivative is 1/(1-z)
     assert li1.derivative() == Series1([1, -1], 9).inverse()
@@ -467,28 +476,28 @@ def test_polylog_log_oracle():
 
 def test_polylog_k0_is_geometric_ratio():
     z = Series1.variable(9)
-    li0 = polylog_substitute(0, z)  # z/(1-z)
+    li0 = polylog(0, z)  # z/(1-z)
     assert li0 == z * Series1([1, -1], 9).inverse()
     # Li_0(1 - e^{-t}) = e^t - 1
     t = Series1.variable(9)
     arg = 1 - (-t).exp()
-    assert polylog_substitute(0, arg) == t.exp() - 1
+    assert polylog(0, arg) == t.exp() - 1
 
 
 def test_polylog_negative_k_integer_coefficients():
     z = Series1.variable(8)
-    li = polylog_substitute(-2, z)  # sum m^2 z^m
+    li = polylog(-2, z)  # sum m^2 z^m
     assert li == Series1([0] + [m * m for m in range(1, 9)], 8)
     with pytest.raises(DomainError):
-        polylog_substitute(2, Series1.one(4))
+        polylog(2, Series1.one(4))
     # bivariate argument: sum m^2 (x+y)^m
-    w = Series2.variable(0, 6) + Series2.variable(1, 6)
-    li2 = polylog_substitute(-2, w)
+    w = coordinate(0, 6) + coordinate(1, 6)
+    li2 = polylog(-2, w)
     assert all(
         li2[i, j] == comb(i + j, i) * (i + j) ** 2 for i in range(7) for j in range(7 - i)
     )
     with pytest.raises(DomainError):
-        polylog_substitute(2, Series2.one(4))
+        polylog(2, Series2.one(4))
 
 
 def polylog_over_argument_by_direct_sum(k, z):
@@ -516,7 +525,7 @@ def test_polylog_over_argument_matches_direct_sum(k):
             got, expected = polylog_over_argument(k, z), polylog_over_argument_by_direct_sum(k, z)
             assert got == expected and got.order == order, (k, order)
             assert coefficient_types(got) == coefficient_types(expected), (k, order)
-    x, y = Series2.variable(0, 7), Series2.variable(1, 7)
+    x, y = coordinate(0, 7), coordinate(1, 7)
     w = x + 2 * y + x * y * Fraction(1, 3) - y * y
     got, expected = polylog_over_argument(k, w), polylog_over_argument_by_direct_sum(k, w)
     assert got == expected and coefficient_types(got) == coefficient_types(expected)
