@@ -202,7 +202,7 @@ def check_readme_quickstart():
     ]
 
 
-def check_readme_series_snippet():
+def test_readme_series_snippet():
     namespace, _ = run_readme_python_block("Series work the same way:")
     assert namespace["egf"][3] * factorial(3) == poly_bernoulli_B(3, 2)
 
@@ -213,7 +213,6 @@ def check_readme_command(command):
 
 README_EXAMPLES = {
     "quickstart": check_readme_quickstart,
-    "series": check_readme_series_snippet,
     **{command: partial(check_readme_command, command) for command in README_COMMANDS},
 }
 
