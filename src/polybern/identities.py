@@ -1,11 +1,13 @@
 """Mechanical verification of the library's identity inventory.
 
 Each identity is a pair generator declared with
-``@_verifier(identity_id, **minimums)``: it takes the identity's parameters
-and returns the ``(location, lhs, rhs)`` equalities it compares over exact
-rationals, and ``minimums`` gives the least value of each integer parameter.
-The decorator registers it in :data:`REGISTRY` as the ``verify_*`` runner,
-which checks the arguments, reports them as the parameters of its
+``@_verifier(identity_id, check=None, **minimums)``: it takes the identity's
+parameters and returns the ``(location, lhs, rhs)`` equalities it compares
+over exact rationals.  ``minimums`` gives the least value of each integer
+parameter; ``check`` rejects other out-of-contract arguments and may choose
+the ones the generator runs with.  The decorator registers it in
+:data:`REGISTRY` as the ``verify_*`` runner, which runs it with exactly what
+its entry's ``bind`` returns, reports that as the parameters of its
 :class:`VerificationReport`, and stops at the first failing equality.
 
 Every runner accepts a keyword-only ``mutate_at`` fault-injection hook:
@@ -25,7 +27,8 @@ from math import factorial
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .combinatorics import binomial, format_rational, stirling_first, stirling_second
+from .combinatorics import binomial, format_rational, rising_factorial
+from .combinatorics import stirling_first, stirling_second
 from .polybernoulli import (
     bernoulli,
     genocchi,
@@ -67,7 +70,7 @@ class IdentityEntry:
     identity_id: str
     runner: Callable[..., VerificationReport]
     defaults: tuple  # ((name, value), ...) — kept immutable
-    bind: Callable[..., dict]  # the runner's arguments by name, checked; runs nothing
+    bind: Callable[..., dict]  # the arguments the generator runs with, checked; runs nothing
 
 
 REGISTRY: dict[str, IdentityEntry] = {}
@@ -96,22 +99,19 @@ def _compare(
 def _verifier(
     identity_id: str,
     *,
-    used_by_mode: Optional[dict] = None,
-    check: Optional[Callable[..., None]] = None,
+    check: Optional[Callable[..., Optional[dict]]] = None,
     **minimums: int,
 ):
     """Make a pair generator the registered verifier of ``identity_id``.
 
     This is the one place that checks a verifier's arguments, and the check
     is the registry entry's ``bind``, which runs nothing.  An unknown name or
-    an integer below its minimum raises ParameterError.  For a generator
-    with a ``mode`` parameter, ``used_by_mode`` maps each mode to the
-    mode-specific parameters it reads; giving one that the chosen mode does
-    not read is an error too.  ``check``, given the arguments by name once
-    the minimums hold, raises ParameterError (or DomainError, for a point on
-    a pole) for a combination of them that is out of contract.  The
-    generator may instead return ``(parameters, pairs)`` when the
-    parameters to report are not simply its arguments.
+    an integer below its minimum raises ParameterError.  Then
+    ``check(given, **arguments)``, given the caller's named arguments and all
+    the bound ones, raises ParameterError (or DomainError, for a point on a
+    pole) for a combination out of contract.  It returns the arguments that
+    the generator runs with and the runner reports, or None to keep the
+    bound ones; ``bind`` returns exactly those.
     """
 
     def register(pairs_of: Callable[..., Iterable[CheckPair]]):
@@ -130,20 +130,17 @@ def _verifier(
             arguments = {**accepted, **given}
             for name, minimum in minimums.items():
                 _require_index(name, arguments[name], minimum)
-            if used_by_mode is not None:
-                _require_used_by_mode(arguments["mode"], given, used_by_mode)
             if check is not None:
-                check(**arguments)
+                chosen = check(given, **arguments)
+                if chosen is not None:
+                    return chosen
             return arguments
 
         @wraps(pairs_of)
         def runner(*args, mutate_at=None, **kwargs) -> VerificationReport:
             started = perf_counter()
             parameters = bind(*args, **kwargs)
-            pairs = pairs_of(**parameters)
-            if isinstance(pairs, tuple):
-                parameters, pairs = pairs
-            counterexample, checked = _compare(identity_id, pairs, mutate_at)
+            counterexample, checked = _compare(identity_id, pairs_of(**parameters), mutate_at)
             elapsed = perf_counter() - started
             return VerificationReport(
                 identity_id, parameters, counterexample is None, counterexample, checked, elapsed
@@ -174,16 +171,6 @@ def _coefficient_pairs(lhs, rhs, *prefix) -> Iterator[CheckPair]:
 def _require_index(name: str, value, minimum: int = 0) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _require_used_by_mode(mode, given, used_by_mode: dict) -> None:
-    if mode not in tuple(used_by_mode):  # a tuple, so an unhashable mode is reported too
-        choices = " or ".join(repr(m) for m in used_by_mode)
-        raise ParameterError(f"mode must be {choices}, got {mode!r}")
-    mode_specific = {name for names in used_by_mode.values() for name in names}
-    for name in given:
-        if name in mode_specific and name not in used_by_mode[mode]:
-            raise ParameterError(f"{name} is not used in {mode} mode")
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +224,8 @@ def ogf_series(n: int, order: int) -> Series2:
 @cache
 def kernel_series(order: int) -> Series2:
     """e^u / (1 - e^u (1 - e^t)) in variables (u, t); the denominator is a unit."""
-    eu = Series2.embed(_exp_t(order), 0, order)
-    et = Series2.embed(_exp_t(order), 1, order)
+    eu = Series2.embed(_exp_t(order), 0)
+    et = Series2.embed(_exp_t(order), 1)
     return eu * (1 - eu * (1 - et)).inverse()
 
 
@@ -250,7 +237,7 @@ def kernel_family(n: int, order: int) -> Series2:
         if j:
             deriv = deriv.derivative(0)
         acc = acc + deriv.truncate(order) * stirling_first(n, j)
-    exp_nt = Series2.embed((Series1.variable(order) * n).exp(), 1, order)
+    exp_nt = Series2.embed((Series1.variable(order) * n).exp(), 1)
     return exp_nt * acc
 
 
@@ -269,11 +256,8 @@ def kernel_family_closed(n: int, order: int) -> Series2:
         t_pow = t_pow * e_neg
         if m > 1:
             u_pow = u_pow * one_minus
-        weight = 1
-        for i in range(n):
-            weight *= m + i
-        acc = acc + product_xy(u_pow, t_pow) * weight
-    exp_neg_nu = Series2.embed((Series1.variable(order) * (-n)).exp(), 0, order)
+        acc = acc + product_xy(u_pow, t_pow) * rising_factorial(m, n)
+    exp_neg_nu = Series2.embed((Series1.variable(order) * (-n)).exp(), 0)
     return exp_neg_nu * acc
 
 
@@ -425,7 +409,7 @@ def verify_trivariate(order: int = 6) -> Iterator[CheckPair]:
         geometric = geometric * inverse_d
 
 
-def _require_r_at_least_n(n: int, r: int, **_) -> None:
+def _require_r_at_least_n(given, n: int, r: int, **_) -> None:
     if r < n:
         raise ParameterError(f"requires r >= n, got n={n}, r={r}")
 
@@ -537,24 +521,31 @@ def _sample_point(point) -> Fraction:
     )
 
 
-def _sample_points(n: int, mode: str, points, **_) -> tuple[Fraction, ...]:
-    """The sample points, parsed: at least one, and none a pole of the identity.
+def _remainder_arguments(given, n: int, mode: str, order: int, points) -> dict:
+    """The ``check`` of ``funceq-remainder``: the arguments its mode runs with.
 
-    The ``check`` of ``funceq-remainder``.  ``points`` must be a tuple or a
-    list, because ``bind`` reads it before the verifier does.
+    Series mode runs with ``order`` and sample mode with ``points``; giving
+    the other mode's parameter is an error.  The sample points must be a
+    tuple or a list of at least one point, none a pole of the identity, and
+    run as strings in lowest terms, which the verifier parses back exactly.
     """
-    if mode != "sample":
-        return ()
+    if mode not in ("series", "sample"):  # a tuple, so an unhashable mode is reported too
+        raise ParameterError(f"mode must be 'series' or 'sample', got {mode!r}")
+    unused = "points" if mode == "series" else "order"
+    if unused in given:
+        raise ParameterError(f"{unused} is not used in {mode} mode")
+    if mode == "series":
+        return {"n": n, "mode": mode, "order": order}
     if points is None:
         points = _DEFAULT_SAMPLE_POINTS
     if not isinstance(points, (tuple, list)):
         raise ParameterError(f"points must be a tuple or a list, got {points!r}")
-    sample_points = tuple(_sample_point(p) for p in points)
-    if not sample_points:
+    if not points:
         raise ParameterError("sample mode needs at least one point")
+    sample_points = [_sample_point(p) for p in points]
     for x in sample_points:
         _guard_sample_point(x, n)
-    return sample_points
+    return {"n": n, "mode": mode, "points": [format_rational(x) for x in sample_points]}
 
 
 def _remainder_sides_at(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
@@ -572,26 +563,19 @@ def _remainder_sides_at(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-@_verifier(
-    "funceq-remainder",
-    used_by_mode={"series": ("order",), "sample": ("points",)},
-    check=_sample_points,
-    n=0,
-    order=1,
-)
+@_verifier("funceq-remainder", check=_remainder_arguments, n=0, order=1)
 def verify_funceq_remainder(
     n: int = 4, mode: str = "series", order: int = 30, points=None
-) -> tuple[dict, Iterable[CheckPair]]:
+) -> Iterable[CheckPair]:
     """Exact remainder after n+1 terms of the f1 functional equation:
 
     sum_{j<=n}(a_j(x/(1-2x)) - (1-2x)a_j(x)) - 2x^3(3-6x+2x^2)/((1-x)^2(1-2x))
       = -(2x/(1-x)) * ((1+(n+2)x)/(1-(n+3)x)) * ((n+3)(x-1)^2-(n+2)(2x-1)) * a_{n+1}(x)
 
-    ``mode='series'`` compares truncated expansions to the given order and
-    reports ``order``; ``mode='sample'`` evaluates both sides exactly at
-    rational points away from every pole of the identity and reports the
-    points.  Giving ``points`` in series mode or ``order`` in sample mode
-    raises ParameterError.
+    ``mode='series'`` compares truncated expansions to the given order;
+    ``mode='sample'`` evaluates both sides exactly at rational points away
+    from every pole of the identity.  Giving ``points`` in series mode or
+    ``order`` in sample mode raises ParameterError.
     """
     if mode == "series":
         terms = [f1_term(j, order) for j in range(n + 2)]
@@ -608,11 +592,8 @@ def verify_funceq_remainder(
             * Series1(list(_remainder_prefactor_poly(n)), order)
             * terms[n + 1]
         )
-        return {"n": n, "mode": mode, "order": order}, _coefficient_pairs(lhs, rhs)
-
-    sample_points = _sample_points(n, mode, points)
-    parameters = {"n": n, "mode": mode, "points": [format_rational(p) for p in sample_points]}
-    return parameters, (((("x", x),), *_remainder_sides_at(n, x)) for x in sample_points)
+        return _coefficient_pairs(lhs, rhs)
+    return (((("x", x),), *_remainder_sides_at(n, x)) for x in map(Fraction, points))
 
 
 @_verifier("uniqueness-recursion", max_m=2)

@@ -159,6 +159,8 @@ def poly_bernoulli_at_integer(m: int, k: int, n: int):
     the n = 0 column gives the B-type numbers and n = 1 the C-type numbers.
     Returns an int when k <= 0, a Fraction over lcm(1..m+1)^k otherwise.
     """
+    if not isinstance(k, int):
+        raise TypeError(f"order must be an int, got {k!r}")
     if m < 0 or n < 0:
         raise ValueError("degree and evaluation point must be non-negative")
     vector = _stirling_vector(m, n)

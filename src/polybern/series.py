@@ -333,16 +333,12 @@ class Series2:
         return cls([[value]], order)
 
     @classmethod
-    def embed(cls, series: Series1, index: int, order: int | None = None) -> "Series2":
-        """Lift a univariate series into variable 0 or 1 of a bivariate ring."""
-        if order is None:
-            order = series.order
-        if order > series.order:
-            raise ValueError("cannot extend a truncated series")
+    def embed(cls, series: Series1, index: int) -> "Series2":
+        """Lift a univariate series into variable 0 or 1 of a bivariate ring of its order."""
         if index == 0:
-            return cls([[series.coeffs[i]] for i in range(order + 1)], order)
+            return cls([[c] for c in series.coeffs], series.order)
         if index == 1:
-            return cls([series.coeffs[: order + 1]], order)
+            return cls([series.coeffs], series.order)
         raise ValueError("variable index must be 0 or 1")
 
     @property
@@ -421,10 +417,9 @@ class Series2:
         return Series2._of_rows(r.derivative() for r in self.rows[:-1])
 
 
-def product_xy(sx: Series1, sy: Series1, order: int | None = None) -> Series2:
+def product_xy(sx: Series1, sy: Series1) -> Series2:
     """The separable product sx(x) * sy(y) as a bivariate series."""
-    if order is None:
-        order = min(sx.order, sy.order)
+    order = min(sx.order, sy.order)
     rows = [
         [sx.coeffs[i] * sy.coeffs[j] for j in range(order - i + 1)]
         for i in range(order + 1)

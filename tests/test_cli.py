@@ -43,6 +43,15 @@ VERIFY_ALL_TEXT = (
 )
 VERIFY_ALL_JSON_SHA256 = "08430f8c58af3e74275d6723ff55ba2715314296832b28f1a7304a03cda45b0a"
 
+# `verify all --mode sample`: only the funceq-remainder line differs, and it
+# reports the default points in lowest terms.  Json: 2,132 bytes.
+VERIFY_ALL_SAMPLE_TEXT = VERIFY_ALL_TEXT.replace(
+    "ok    funceq-remainder  [n=4 mode=series order=30]  checked=31\n",
+    "ok    funceq-remainder  [n=4 mode=sample points=['1/100', '1/97', '-1/101']]  checked=3\n",
+)
+VERIFY_ALL_SAMPLE_TEXT_SHA256 = "65869ee2842b424de99e64eed715a2bda846b64867947719cd88801453b5b72b"
+VERIFY_ALL_SAMPLE_JSON_SHA256 = "fefce6f9cb4f6c0095c3e4c2b3cd2576bffe8c90878d4daaf2e4f1e7017055ec"
+
 
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
@@ -426,6 +435,15 @@ def test_verify_all_golden_at_default_bounds(capsys):
     code, out, err = run_cli(capsys, "verify", "all", "--format", "json")
     assert code == 0 and err == "" and len(out.encode()) == 2075
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
+
+
+def test_verify_all_golden_in_sample_mode(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--mode", "sample")
+    assert (code, out, err) == (0, VERIFY_ALL_SAMPLE_TEXT, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SAMPLE_TEXT_SHA256
+    code, out, err = run_cli(capsys, "verify", "all", "--mode", "sample", "--format", "json")
+    assert code == 0 and err == "" and len(out.encode()) == 2132
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SAMPLE_JSON_SHA256
 
 
 def test_help_exits_zero(capsys):

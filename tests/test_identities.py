@@ -107,6 +107,23 @@ def test_mutation_of_uncompared_location_is_rejected(location):
         idn.verify_beta1_funceq(10, mutate_at=location)
 
 
+@pytest.mark.parametrize(
+    "identity_id,kwargs", [*SMALL.items(), ("funceq-remainder", dict(n=2, mode="sample"))]
+)
+def test_report_parameters_are_what_bind_returns(identity_id, kwargs):
+    entry = REGISTRY[identity_id]
+    assert entry.runner(**kwargs).parameters == entry.bind(**kwargs)
+
+
+def test_remainder_bind_returns_the_arguments_of_its_mode():
+    bind = REGISTRY["funceq-remainder"].bind
+    assert bind() == {"n": 4, "mode": "series", "order": 30}
+    default_points = ["1/100", "1/97", "-1/101"]
+    assert bind(mode="sample") == {"n": 4, "mode": "sample", "points": default_points}
+    points = [Fraction(2, 100), "-3/27", 2]
+    assert bind(2, "sample", points=points)["points"] == ["1/50", "-1/9", "2"]
+
+
 def test_reports_are_deterministic():
     a = verify_one("duality", max_l=5, max_m=5, max_n=2)
     b = verify_one("duality", max_l=5, max_m=5, max_n=2)
@@ -240,7 +257,7 @@ def test_kernel_derivative_recurrence():
     for n in (0, 1, 2):
         gn = idn.kernel_family(n, order)
         gn1 = idn.kernel_family(n + 1, order)
-        e_neg_t = Series2.embed((-Series1.variable(order)).exp(), 1, order)
+        e_neg_t = Series2.embed((-Series1.variable(order)).exp(), 1)
         rhs = e_neg_t * gn1 - gn * n
         assert gn.derivative(0) == rhs.truncate(order - 1)
 
@@ -265,7 +282,7 @@ def _last_closed_term(n, order):
     for i in range(n):
         weight *= m + i
     term = product_xy(one_minus.power(m - 1), e_neg.power(m)) * weight
-    exp_neg_nu = Series2.embed((Series1.variable(order) * (-n)).exp(), 0, order)
+    exp_neg_nu = Series2.embed((Series1.variable(order) * (-n)).exp(), 0)
     return exp_neg_nu * term
 
 

@@ -342,28 +342,34 @@ CACHED_ROUTES = (
 )
 
 
+# The float in each argument tuple is the inexact index, at its position.
 @pytest.mark.parametrize(
     "route,args",
     [
-        (poly_bernoulli_at_integer, (2, 1, 1)),
-        (poly_bernoulli_at_integer, (2, -1, 0)),
-        (poly_bernoulli_polynomial, (2, 1)),
-        (script_B_def, (2, 1, 1)),
-        (script_B_closed, (2, 1, 1)),
+        (poly_bernoulli_at_integer, (2.0, 1, 1)),
+        (poly_bernoulli_at_integer, (2.0, -1, 0)),
+        (poly_bernoulli_polynomial, (2.0, 1)),
+        (script_B_def, (2.0, 1, 1)),
+        (script_B_closed, (2.0, 1, 1)),
+        (poly_bernoulli_at_integer, (2, -1.0, 0)),
+        (poly_bernoulli_at_integer, (2, 1.0, 1)),
+        (poly_bernoulli_C, (3, -2.0)),
+        (script_B_def, (2, 1.0, 0)),
     ],
 )
 def test_cached_route_answers_alike_cold_and_warm(route, args):
     # 2.0 equals 2 and hashes alike, but it is no index: it must raise
-    # TypeError whether or not the cache already holds the answer for 2.
-    inexact = (float(args[0]), *args[1:])
+    # TypeError whether or not the cache already holds the answer for 2,
+    # at every position and for negative and positive orders alike.
+    exact = tuple(int(a) for a in args)
     for cached in CACHED_ROUTES:
         cached.cache_clear()
     with pytest.raises(TypeError):
-        route(*inexact)
-    value = route(*args)
+        route(*args)
+    value = route(*exact)
     with pytest.raises(TypeError):
-        route(*inexact)
-    assert route(*args) == value
+        route(*args)
+    assert route(*exact) == value
 
 
 @pytest.mark.parametrize(
