@@ -4,13 +4,15 @@ Three subcommands::
 
     polybern table SEQ [--max-n N] [--k K] [--m M --l L --n N]
     polybern expand GF [--order N] [--k K] [--x RAT] [--n N]
-    polybern verify ID|all [--order N] [--max-l L] [--max-m M] [--max-n N]
-                           [--n N] [--r R] [--mode series|sample]
+    polybern verify ID|all [--PARAMETER VALUE ...]
 
 plus ``--format`` (table ``csv|json|text``, expand ``json``, verify
-``json|text``) and ``--output FILE`` on each.  Exit codes: 0 success / all
-identities pass, 1 at least one identity failed, 2 usage or parameter error.
-Output is byte-deterministic for a fixed command line.
+``json|text``) and ``--output FILE`` on each.  ``table`` and ``expand`` state
+in one mapping each which options a target reads; ``verify`` has one flag per
+identity parameter of :data:`~polybern.identities.REGISTRY` (see
+``polybern verify --help``).  Exit codes: 0 success / all identities pass,
+1 at least one identity failed, 2 usage or parameter error.  Output is
+byte-deterministic for a fixed command line.
 """
 
 from __future__ import annotations
@@ -47,24 +49,6 @@ from .polybernoulli import (
 )
 from .series import DomainError, Series1
 
-# The options each sequence and generating function reads, by dest; giving
-# any other is a usage error.
-TABLE_OPTIONS = {
-    **dict.fromkeys(("stirling1", "stirling2", "bernoulli", "genocchi"), ("max_n",)),
-    **dict.fromkeys(("polybernoulli-B", "polybernoulli-C"), ("max_n", "k")),
-    "scriptB": ("m", "l", "n"),
-}
-EXPAND_OPTIONS = {
-    **dict.fromkeys(("egf-B", "egf-C"), ("order", "k")),
-    "egf-poly": ("order", "k", "x"),
-    "egf-scriptB": ("order", "n"),
-    **dict.fromkeys(("ogf-f1", "g1", "beta1"), ("order",)),
-}
-TABLE_SEQUENCES = tuple(TABLE_OPTIONS)
-EXPAND_FUNCTIONS = tuple(EXPAND_OPTIONS)
-DEFAULT_TABLE_MAX_N = 10
-DEFAULT_EXPAND_ORDER = 32
-
 
 class UsageError(ValueError):
     """A structurally valid command line with missing/invalid option values."""
@@ -96,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="emit a sequence table")
-    table.add_argument("sequence", choices=TABLE_SEQUENCES)
+    table.add_argument("sequence", choices=tuple(TABLES))
     table.add_argument("--max-n", type=int, dest="max_n")
     table.add_argument("--k", type=int, help="upper index for polybernoulli-B/C")
     table.add_argument("--m", type=int, help="scriptB: largest first index")
@@ -106,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--output")
 
     expand = sub.add_parser("expand", help="expand a named generating function (JSON)")
-    expand.add_argument("function", choices=EXPAND_FUNCTIONS)
-    expand.add_argument("--order", type=int, default=DEFAULT_EXPAND_ORDER)
+    expand.add_argument("function", choices=tuple(EXPANSIONS))
+    expand.add_argument("--order", type=int)
     expand.add_argument("--k", type=int, help="polylogarithm order for egf-B/C/poly")
     expand.add_argument(
         "--x", help="rational evaluation point for egf-poly (e.g. 1/2; use --x=-1/3)"
@@ -118,16 +102,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify one identity or the full inventory")
     verify.add_argument("identity", choices=IDENTITY_IDS + ("all",))
-    verify.add_argument("--order", type=int)
-    verify.add_argument("--max-l", type=int, dest="max_l")
-    verify.add_argument("--max-m", type=int, dest="max_m")
-    verify.add_argument("--max-n", type=int, dest="max_n")
-    verify.add_argument("--n", type=int, help="point parameter for single-point identities")
-    verify.add_argument("--r", type=int, help="upper index for stirling-expansion")
-    verify.add_argument("--mode", choices=("series", "sample"))
+    # One flag per identity parameter, typed by its default; its dest is the
+    # parameter's name.  A parameter without a default value is library-only.
+    parameters = {
+        name: default
+        for entry in REGISTRY.values()
+        for name, default in entry.defaults
+        if default is not None
+    }
+    for name, default in parameters.items():
+        verify.add_argument(_flag(name), type=type(default))
     verify.add_argument("--format", choices=("json", "text"), default="text")
     verify.add_argument("--output")
     return parser
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _given_options(args: argparse.Namespace) -> dict:
@@ -140,55 +131,74 @@ def _given_options(args: argparse.Namespace) -> dict:
     }
 
 
-def _require_read(args: argparse.Namespace, target: str, reads: tuple) -> None:
-    for name in _given_options(args):
-        if name not in reads:
-            raise UsageError(f"{args.command} {target} does not read --{name.replace('_', '-')}")
-
-
 # ---------------------------------------------------------------------------
-# table
+# table and expand: each target reads the options it lists, in the order that
+# it takes and reports them.  A target requires every option it reads that has
+# no default here.
+
+DEFAULTS = {"max_n": 10, "order": 32}
 
 
-def _table_rows(args: argparse.Namespace):
-    sequence = args.sequence
-    _require_read(args, sequence, TABLE_OPTIONS[sequence])
-    max_n = DEFAULT_TABLE_MAX_N if args.max_n is None else args.max_n
-    if max_n < 0:
-        raise UsageError("--max-n must be non-negative")
-    if sequence in ("stirling1", "stirling2"):
-        fn = stirling_first if sequence == "stirling1" else stirling_second
-        header = ("n", "m", "value")
-        rows = [(n, m, fn(n, m)) for n in range(max_n + 1) for m in range(n + 1)]
-        return header, rows, {"max_n": max_n}
-    if sequence in ("bernoulli", "genocchi"):
-        fn = bernoulli if sequence == "bernoulli" else genocchi
-        return ("n", "value"), [(n, fn(n)) for n in range(max_n + 1)], {"max_n": max_n}
-    if sequence in ("polybernoulli-B", "polybernoulli-C"):
-        k = args.k
-        if k is None:
-            raise UsageError(f"table {sequence} requires --k")
-        fn = poly_bernoulli_B if sequence == "polybernoulli-B" else poly_bernoulli_C
-        header = ("n", "k", "value")
-        rows = [(n, k, fn(n, k)) for n in range(max_n + 1)]
-        return header, rows, {"max_n": max_n, "k": k}
-    # scriptB
-    m, l, n = args.m, args.l, args.n
-    if m is None or l is None or n is None:
-        raise UsageError("table scriptB requires --m, --l and --n")
-    if min(m, l, n) < 0:
-        raise UsageError("scriptB indices must be non-negative")
-    header = ("m", "l", "n", "value")
-    rows = [
-        (mi, li, n, script_B_closed(mi, li, n))
-        for mi in range(m + 1)
-        for li in range(l + 1)
-    ]
-    return header, rows, {"m": m, "l": l, "n": n}
+def _target_options(args: argparse.Namespace, target: str, reads: tuple) -> dict:
+    """The options ``target`` reads, in the order of ``reads``, defaults filled in."""
+    given = _given_options(args)
+    for name in given:
+        if name not in reads:
+            raise UsageError(f"{args.command} {target} does not read {_flag(name)}")
+    for name, value in given.items():
+        if isinstance(value, int) and value < 0 and name != "k":  # --k, an order, is signed
+            raise UsageError(f"{_flag(name)} must be non-negative")
+    required = [name for name in reads if name not in DEFAULTS]
+    if any(name not in given for name in required):
+        flags = [_flag(name) for name in required]
+        listed = f"{', '.join(flags[:-1])} and {flags[-1]}" if len(flags) > 1 else flags[0]
+        raise UsageError(f"{args.command} {target} requires {listed}")
+    options = {name: given.get(name, DEFAULTS.get(name)) for name in reads}
+    if "x" in options:  # a rational, reported in lowest terms
+        try:
+            options["x"] = format_rational(Fraction(options["x"]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"invalid rational for --x: {options['x']!r}") from exc
+    return options
+
+
+def _by_n(fn):
+    return lambda max_n: (("n", "value"), [(n, fn(n)) for n in range(max_n + 1)])
+
+
+def _triangle(fn):
+    return lambda max_n: (
+        ("n", "m", "value"),
+        [(n, m, fn(n, m)) for n in range(max_n + 1) for m in range(n + 1)],
+    )
+
+
+def _column(fn):
+    return lambda max_n, k: (("n", "k", "value"), [(n, k, fn(n, k)) for n in range(max_n + 1)])
+
+
+def _script_b_rows(m: int, l: int, n: int):
+    rows = [(mi, li, n, script_B_closed(mi, li, n)) for mi in range(m + 1) for li in range(l + 1)]
+    return ("m", "l", "n", "value"), rows
+
+
+# Each sequence: the options it reads and the function of them that gives its
+# header and rows.
+TABLES = {
+    "stirling1": (("max_n",), _triangle(stirling_first)),
+    "stirling2": (("max_n",), _triangle(stirling_second)),
+    "bernoulli": (("max_n",), _by_n(bernoulli)),
+    "genocchi": (("max_n",), _by_n(genocchi)),
+    "polybernoulli-B": (("max_n", "k"), _column(poly_bernoulli_B)),
+    "polybernoulli-C": (("max_n", "k"), _column(poly_bernoulli_C)),
+    "scriptB": (("m", "l", "n"), _script_b_rows),
+}
 
 
 def _table_document(args: argparse.Namespace) -> str:
-    header, rows, params = _table_rows(args)
+    reads, rows_of = TABLES[args.sequence]
+    params = _target_options(args, args.sequence, reads)
+    header, rows = rows_of(*params.values())
     if args.format == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_render(v) for v in row) for row in rows)
@@ -212,62 +222,35 @@ def _table_document(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# expand
-
-
-def _expand_series(args: argparse.Namespace):
-    name = args.function
-    _require_read(args, name, EXPAND_OPTIONS[name])
-    order = args.order
-    if order < 0:
-        raise UsageError("--order must be non-negative")
-    if name in ("egf-B", "egf-C", "egf-poly"):
-        k = args.k
-        if k is None:
-            raise UsageError(f"expand {name} requires --k")
-        if name != "egf-poly":
-            fn = egf_poly_bernoulli_B if name == "egf-B" else egf_poly_bernoulli_C
-            return fn(k, order), ("t",), {"k": k, "order": order}
-        raw = args.x
-        if raw is None:
-            raise UsageError("expand egf-poly requires --x (a rational such as 1/2)")
-        try:
-            x = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"invalid rational for --x: {raw!r}") from exc
-        series = egf_poly_bernoulli_polynomial(k, x, order)
-        return series, ("t",), {"k": k, "x": format_rational(x), "order": order}
-    if name == "egf-scriptB":
-        n = args.n
-        if n is None:
-            raise UsageError("expand egf-scriptB requires --n")
-        if n < 0:
-            raise UsageError("--n must be non-negative")
-        return egf_closed_form(n, order), ("x", "y"), {"n": n, "order": order}
-    if name == "ogf-f1":
-        return f1_series(order), ("x",), {"order": order}
-    if name == "g1":
-        return g1_series(order), ("x",), {"order": order}
-    return beta1_series(order), ("x",), {"order": order}
+# Each generating function: the options it reads, the function of them that
+# expands it, and its variables.
+EXPANSIONS = {
+    "egf-B": (("k", "order"), egf_poly_bernoulli_B, "t"),
+    "egf-C": (("k", "order"), egf_poly_bernoulli_C, "t"),
+    "egf-poly": (("k", "x", "order"), egf_poly_bernoulli_polynomial, "t"),
+    "egf-scriptB": (("n", "order"), egf_closed_form, "xy"),
+    "ogf-f1": (("order",), f1_series, "x"),
+    "g1": (("order",), g1_series, "x"),
+    "beta1": (("order",), beta1_series, "x"),
+}
 
 
 def _expand_document(args: argparse.Namespace) -> str:
-    series, variables, params = _expand_series(args)
+    reads, expansion, variables = EXPANSIONS[args.function]
+    params = _target_options(args, args.function, reads)
+    series = expansion(*params.values())
     if isinstance(series, Series1):
         coefficients = [[str(i), _render(series[i])] for i in range(series.order + 1)]
-        orders = {variables[0]: series.order}
     else:
         coefficients = [
             [f"{i},{j}", _render(series[i, j])]
             for i in range(series.order + 1)
             for j in range(series.order - i + 1)
         ]
-        orders = {variables[0]: series.order, variables[1]: series.order}
     doc = {
         "generating_function": args.function,
         "parameters": params,
-        "variable_orders": orders,
+        "variable_orders": dict.fromkeys(variables, series.order),
         "coefficients": coefficients,
     }
     return json.dumps(doc, indent=2) + "\n"

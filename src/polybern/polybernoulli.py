@@ -203,6 +203,8 @@ def script_B_def(m: int, l: int, n: int):
     Cached by (m, l, n) as given, so the two sides of the duality
     script_B_def(m, l, n) = script_B_def(l, m, n) are computed apart.
     """
+    if not isinstance(l, int):  # else the check of the order -l - j would name that
+        raise TypeError(f"l must be an int, got {l!r}")
     if m < 0 or l < 0 or n < 0:
         raise ValueError("all three indices must be non-negative")
     return sum(

@@ -263,11 +263,17 @@ def test_expand_unknown_function(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        ("table scriptB --m -1 --l 0 --n 0", "scriptB indices must be non-negative"),
+        ("table scriptB --m -1 --l 0 --n 0", "--m must be non-negative"),
         ("expand g1 --order -1", "--order must be non-negative"),
-        ("expand egf-poly --k 1", "expand egf-poly requires --x (a rational such as 1/2)"),
+        ("expand egf-poly --k 1", "expand egf-poly requires --k and --x"),
         ("expand egf-scriptB", "expand egf-scriptB requires --n"),
         ("expand egf-scriptB --n -1", "--n must be non-negative"),
+        ("table polybernoulli-B", "table polybernoulli-B requires --k"),
+        ("table scriptB --m 1", "table scriptB requires --m, --l and --n"),
+        ("table bernoulli --max-n -1", "--max-n must be non-negative"),
+        ("expand egf-B", "expand egf-B requires --k"),
+        ("expand egf-B --k 1 --order -1", "--order must be non-negative"),
+        ("expand egf-poly --k 1 --x abc", "invalid rational for --x: 'abc'"),
     ],
 )
 def test_out_of_range_option_exits_two_with_its_message(capsys, argv, message):
@@ -366,6 +372,41 @@ def test_verify_all_json_is_full_inventory(capsys):
 def test_verify_flag_not_accepted_by_identity(capsys):
     code, _, err = run_cli(capsys, "verify", "duality", "--r", "4")
     assert code == 2 and "does not accept" in err
+
+
+# Every identity parameter with a default value, as (identity, name, default).
+IDENTITY_PARAMETERS = [
+    (identity_id, name, default)
+    for identity_id, entry in REGISTRY.items()
+    for name, default in entry.defaults
+    if default is not None
+]
+
+
+@pytest.mark.parametrize("identity_id,name,default", IDENTITY_PARAMETERS)
+def test_verify_flag_at_its_default_changes_nothing(capsys, identity_id, name, default):
+    flag = "--" + name.replace("_", "-")
+    given = run_cli(capsys, "verify", identity_id, flag, str(default))
+    assert given == run_cli(capsys, "verify", identity_id)
+    assert given[0] == 0
+
+
+def test_verify_flags_are_the_identity_parameters(capsys):
+    values = {name: default for _, name, default in IDENTITY_PARAMETERS}
+    for identity_id, entry in REGISTRY.items():
+        for name, value in values.items():
+            if name in dict(entry.defaults):
+                continue
+            flag = "--" + name.replace("_", "-")
+            code, out, err = run_cli(capsys, "verify", identity_id, flag, str(value))
+            assert (code, out) == (2, "")
+            assert err == f"error: identity {identity_id!r} does not accept parameter {name!r}\n"
+
+
+def test_verify_mode_is_checked_by_its_identity(capsys):
+    for target in ("funceq-remainder", "all"):
+        code, out, err = run_cli(capsys, "verify", target, "--mode", "foo")
+        assert (code, out, err) == (2, "", "error: mode must be 'series' or 'sample', got 'foo'\n")
 
 
 def test_verify_unknown_identity(capsys):

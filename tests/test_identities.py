@@ -144,6 +144,26 @@ def test_unknown_identity_and_parameter():
         idn.verify_duality(order=5)
 
 
+def test_each_run_binds_its_arguments_once(monkeypatch):
+    # Counted by the point parses of funceq-remainder's check: one bind in
+    # sample mode parses the three default points.
+    parsed = []
+    parse = idn._sample_point
+    monkeypatch.setattr(idn, "_sample_point", lambda point: parsed.append(point) or parse(point))
+    for run, binds in (
+        (lambda: idn.verify_funceq_remainder(mode="sample"), 1),
+        (lambda: verify_one("funceq-remainder", mode="sample"), 1),
+        (lambda: verify_all({"funceq-remainder": {"mode": "sample"}}), 2),  # checked up front
+    ):
+        parsed.clear()
+        assert run()
+        assert len(parsed) == 3 * binds
+    with pytest.raises(
+        ParameterError, match="^identity 'beta1-funceq' does not accept parameter 'mutate_at'$"
+    ):
+        verify_one("beta1-funceq", mutate_at=(("i", 0),))
+
+
 @pytest.mark.parametrize(
     "identity_id,kwargs",
     [

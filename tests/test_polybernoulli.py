@@ -372,6 +372,15 @@ def test_cached_route_answers_alike_cold_and_warm(route, args):
     assert route(*exact) == value
 
 
+def test_script_b_def_names_the_inexact_l_cold_and_warm():
+    script_B_def.cache_clear()
+    with pytest.raises(TypeError, match=r"^l must be an int, got 1\.0$"):
+        script_B_def(2, 1.0, 0)
+    script_B_def(2, 1, 0)
+    with pytest.raises(TypeError, match=r"^l must be an int, got 1\.0$"):
+        script_B_def(2, 1.0, 0)
+
+
 @pytest.mark.parametrize(
     "fn,args,message",
     [
