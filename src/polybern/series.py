@@ -4,20 +4,22 @@ Coefficients are exact numbers (int or Fraction); exponents above the
 truncation order are discarded, never approximated.  Series1 is dense in a
 single variable.  Series2 truncates by TOTAL degree: coefficients are kept
 for exponent pairs (i, j) with i + j <= order, stored as Series1 rows (row i
-of order order - i), so every bivariate operation but the product is the
-Series1 operation on its rows.
+of order order - i), so every bivariate operation but the product and the
+inverse is the Series1 operation on its rows.
 
 Every operation returns a fresh series (pure value semantics).  Binary
 operations truncate the result to the smaller operand order.  Products and
-Series1.inverse run on integer numerators over one common denominator per
-operand and reduce each output coefficient once, not once per term.
+inverses run on integer numerators over one common denominator per operand
+and reduce each output coefficient once, not once per term; Series2.inverse
+also reduces each row of its recurrence once, by the gcd of the row, and the
+polylog blocks are integer sums with one Fraction per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 
 _SCALARS = (int, Fraction)
 
@@ -33,11 +35,9 @@ def _as_scalar(value):
 
 
 def _inverse_terms(a, inv0, n) -> list:
-    """Coefficients e_0..e_n of 1/a, where inv0 = 1/a_0.
+    """Coefficients e_0..e_n of 1/a for the Series1 coefficients a, inv0 = 1/a_0.
 
-    e_m = -inv0 * sum_{k=1..m} a_k e_{m-k}.  The a_k are scalars for Series1
-    (zeros skipped) and the Series1 rows of a Series2, where truncation to the
-    smaller order leaves e_m the total-degree width of its row.
+    e_m = -inv0 * sum_{k=1..m} a_k e_{m-k}, zero a_k skipped.
     """
     e = [inv0]
     for m in range(1, n + 1):
@@ -52,8 +52,10 @@ def _inverse_terms(a, inv0, n) -> list:
 def _exp_terms(a, e0, n) -> list:
     """Coefficients e_0..e_n of exp(a), where e0 = exp(a_0).
 
-    m * e_m = sum_{k=1..m} k * a_k * e_{m-k}, from exp(a)' = a' * exp(a);
-    the a_k are scalars or rows as in _inverse_terms.
+    m * e_m = sum_{k=1..m} k * a_k * e_{m-k}, from exp(a)' = a' * exp(a).
+    The a_k are scalars for Series1 and the Series1 rows of a Series2, where
+    truncation to the smaller order leaves e_m the total-degree width of its
+    row.
     """
     e = [e0]
     for m in range(1, n + 1):
@@ -91,6 +93,23 @@ def _over(ints, den) -> list:
     if den == 1:
         return ints
     return [Fraction(v, den) if v else 0 for v in ints]
+
+
+def _combination(rows, scalars) -> "Series1":
+    """sum(c * row) over Series1 rows of one order and Fraction scalars c.
+
+    One integer sum over the common denominator of the terms, then one
+    Fraction per coefficient (zeros included).
+    """
+    parts = [_numerators(row.coeffs) for row in rows]
+    den = lcm(*(d * c.denominator for (_, d), c in zip(parts, scalars)))
+    out = [0] * (rows[0].order + 1)
+    for (ints, d), c in zip(parts, scalars):
+        scale = c.numerator * (den // (d * c.denominator))
+        for j, v in enumerate(ints):
+            if v:
+                out[j] += v * scale
+    return Series1([Fraction(v, den) for v in out], rows[0].order)
 
 
 def _convolve(out, a, b, n) -> None:
@@ -145,9 +164,9 @@ def _hash(self):
 
 
 def _power(self, exponent: int):
-    """self**exponent by repeated squaring; negative exponents via inverse."""
+    """self**exponent by repeated squaring; a negative one inverts the power."""
     if exponent < 0:
-        return self.inverse().power(-exponent)
+        return self.power(-exponent).inverse()
     result = type(self).one(self.order)
     base = self
     e = exponent
@@ -399,8 +418,38 @@ class Series2:
     power = _power
 
     def inverse(self) -> "Series2":
-        """Inverse, row by row in the first variable; needs a nonzero constant term."""
-        return Series2._of_rows(_inverse_terms(self.rows, self.rows[0].inverse(), self.order))
+        """Inverse, row by row in the first variable; needs a nonzero constant term.
+
+        With self = a / den on integer rows a, the rows of f = 1/self are
+        f_0 = 1/self_0 and f_m = -f_0 * sum_{k=1..m} a_k f_(m-k) / den.  Each
+        f_m is an integer row over its own denominator, reduced once by the
+        gcd of the row; the sum runs on integers over the lcm of the
+        denominators of f_0..f_(m-1).
+        """
+        n = self.order
+        first = self.rows[0].inverse()
+        a, den = _int_rows(self.rows, n)
+        f0, d0 = _numerators(first.coeffs)
+        nums, dens, common = [f0], [d0], d0
+        rows = [first]
+        for m in range(1, n + 1):
+            width = n - m + 1
+            acc = [0] * width
+            for k in range(1, m + 1):
+                f, scale = nums[m - k], common // dens[m - k]
+                if scale != 1:
+                    f = [v * scale for v in f[:width]]
+                _convolve(acc, a[k], f, width - 1)
+            row = [0] * width
+            _convolve(row, f0, acc, width - 1)
+            d = d0 * common * den
+            g = gcd(d, *row)
+            row, d = [-v // g for v in row], d // g
+            nums.append(row)
+            dens.append(d)
+            common = lcm(common, d)
+            rows.append(Series1(_over(row, d), width - 1))
+        return Series2._of_rows(rows)
 
     def exp(self) -> "Series2":
         """exp(self), row by row in the first variable; needs zero constant term."""
@@ -427,6 +476,11 @@ def product_xy(sx: Series1, sy: Series1) -> Series2:
     return Series2(rows, order)
 
 
+def _rows(series):
+    """The Series1 rows of a series; a Series1 is its own one row."""
+    return series.rows if isinstance(series, Series2) else (series,)
+
+
 def polylog_over_argument(k: int, z):
     """Li_k(z)/z = sum_{m>=1} z**(m-1) / m**k, exact for every integer k.
 
@@ -440,9 +494,10 @@ def polylog_over_argument(k: int, z):
     sum_{r<s} z**r / (b*s+r+1)**k, cut to order n - b*s; the blocks are
     combined by Horner in z**s, each partial sum padded with zeros to the
     next block's order (exact, as z**s has zero constant term).  That is
-    about 2*sqrt(n) series products instead of n, and the n+1 scalar
-    multiples and their sums run at the shrinking block orders.  Both series
-    constructors cut or zero-pad a coefficient list to the order given.
+    about 2*sqrt(n) series products instead of n.  Each block is one integer
+    sum per row (a Series1 is one row) at the shrinking block order, with one
+    Fraction per coefficient.  Both series constructors cut or zero-pad a
+    coefficient list to the order given.
     """
     if z.constant_term != 0:
         raise DomainError("polylog substitution needs a zero constant term")
@@ -454,11 +509,11 @@ def polylog_over_argument(k: int, z):
     acc = None
     for start in reversed(range(0, n + 1, s)):
         order = n - start
-        terms = (
-            cls(powers[r].coeffs, order) * Fraction(start + r + 1) ** (-k)
-            for r in range(min(s, order + 1))
-        )
-        block = sum(terms, next(terms))
+        width = min(s, order + 1)
+        scalars = [Fraction(start + r + 1) ** (-k) for r in range(width)]
+        cut = (_rows(cls(powers[r].coeffs, order)) for r in range(width))
+        rows = [_combination(terms, scalars) for terms in zip(*cut)]
+        block = Series2._of_rows(rows) if cls is Series2 else rows[0]
         if acc is None:
             acc = block
         else:

@@ -301,6 +301,77 @@ def test_inverse_2d_is_two_sided(a):
     assert inv * a == Series2.one(a.order)
 
 
+def inverse_by_row_recurrence(s):
+    """1/s for a Series2 by f_m = -f_0 * sum_{k=1..m} s_k f_(m-k) on Series1 rows.
+
+    Every term is a Series1 product and a Fraction sum: the independent oracle
+    of the integer-row kernel.
+    """
+    f = [s.rows[0].inverse()]
+    for m in range(1, s.order + 1):
+        acc = 0
+        for k in range(1, m + 1):
+            acc += s.rows[k] * f[m - k]
+        f.append(-f[0] * acc)
+    return Series2([row.coeffs for row in f], s.order)
+
+
+def dense_fractions(order):
+    """A dense Series2 of Fraction coefficients with constant term 5."""
+    return Series2(
+        [[Fraction(3 * i - 2 * j + 5, i + 2 * j + 1) for j in range(order - i + 1)]
+         for i in range(order + 1)],
+        order,
+    )
+
+
+def kernel_denominator(order):
+    """1 - e^u (1 - e^t), inverted by kernel_series: row 0 is e^t."""
+    eu = Series2.embed(Series1.variable(order).exp(), 0)
+    et = Series2.embed(Series1.variable(order).exp(), 1)
+    return 1 - eu * (1 - et)
+
+
+@pytest.mark.parametrize("build", [dense_fractions, kernel_denominator])
+def test_inverse_2d_matches_row_recurrence(build):
+    # At order 16 the inverse of kernel_denominator's row 0, e^-t, has
+    # denominators up to 16!.
+    for order in (*range(9), 16):
+        s = build(order)
+        got, expected = s.inverse(), inverse_by_row_recurrence(s)
+        assert got == expected and got.order == order, order
+        assert coefficient_types(got) == coefficient_types(expected), order
+    for s in (build(6) - build(6).constant_term, build(0) - build(0).constant_term):
+        with pytest.raises(DomainError):
+            s.inverse()
+
+
+def test_inverse_2d_gives_an_integral_row_as_ints():
+    # Row 1 of the inverse is the integer 3.  The row recurrence types each
+    # coefficient by the denominators of its factors and gives Fraction(3, 1);
+    # the kernel reduces the row once and gives the int.
+    s = Series2([[Fraction(-1, 2), Fraction(-7, 5)], [Fraction(-3, 4)]], 1)
+    got, expected = s.inverse(), inverse_by_row_recurrence(s)
+    assert got == expected and got[1, 0] == 3
+    assert type(got[1, 0]) is int and type(expected[1, 0]) is Fraction
+
+
+@pytest.mark.parametrize("e", range(1, 5))
+def test_negative_power_is_the_power_of_the_inverse(e):
+    for s in (
+        Series1([2, Fraction(-1, 3), 5, 0, Fraction(7, 2)], 4),
+        Series1([1, -1], 6),
+        Series1.variable(8).exp(),
+        dense_fractions(5),
+        kernel_denominator(6),
+    ):
+        assert s.power(-e) == s.inverse().power(e)
+        assert s ** -e == s.power(-e)
+    for s in (Series1.variable(4), coordinate(0, 4), kernel_denominator(4) - 1):
+        with pytest.raises(DomainError):
+            s.power(-e)
+
+
 def test_geometric_series():
     inv = Series1([1, -1], 6).inverse()
     assert inv == Series1([1] * 7, 6)
