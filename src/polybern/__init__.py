@@ -11,7 +11,6 @@ from .combinatorics import (
     binomial,
     factorial,
     format_rational,
-    orthogonality_check,
     rising_factorial,
     stirling_first,
     stirling_second,
@@ -28,7 +27,6 @@ from .polybernoulli import (
     RationalPolynomial,
     bernoulli,
     egf_bernoulli,
-    egf_genocchi,
     egf_poly_bernoulli_B,
     egf_poly_bernoulli_C,
     egf_poly_bernoulli_polynomial,
@@ -57,7 +55,6 @@ __all__ = [
     "binomial",
     "factorial",
     "format_rational",
-    "orthogonality_check",
     "rising_factorial",
     "stirling_first",
     "stirling_second",
@@ -72,7 +69,6 @@ __all__ = [
     "RationalPolynomial",
     "bernoulli",
     "egf_bernoulli",
-    "egf_genocchi",
     "egf_poly_bernoulli_B",
     "egf_poly_bernoulli_C",
     "egf_poly_bernoulli_polynomial",

@@ -102,18 +102,6 @@ def rising_factorial(x, n: int):
     return result
 
 
-def orthogonality_check(n: int, m: int) -> int:
-    """sum_{l=0}^{n} (-1)^l [n l] {l m}, which contracts to (-1)^n delta_{m,n}."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be non-negative")
-    total = 0
-    for l in range(n + 1):
-        s1 = stirling_first(n, l)
-        if s1:
-            total += (-1) ** l * s1 * stirling_second(l, m)
-    return total
-
-
 def format_rational(value) -> str:
     """Render an exact number as 'p/q' in lowest terms, or 'p' for integers."""
     f = Fraction(value)
@@ -128,6 +116,5 @@ __all__ = [
     "binomial",
     "factorial",
     "rising_factorial",
-    "orthogonality_check",
     "format_rational",
 ]

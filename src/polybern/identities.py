@@ -38,6 +38,7 @@ from .polybernoulli import (
     script_B_def,
 )
 from .series import DomainError, Series1, Series2, egf_coefficient, product_xy
+from .series import _combination, _combination_xy
 
 
 class ParameterError(ValueError):
@@ -216,11 +217,8 @@ def q_series(j: int, order: int, route: str = "rational") -> Series1:
 
 def ogf_series(n: int, order: int) -> Series2:
     """sum_j j!(j+n)! Q_j(x) Q_j(y) with ordinary (non-EGF) coefficients."""
-    acc = Series2.zero(order)
-    for j in range(order + 1):
-        qj = q_series(j, order)
-        acc = acc + product_xy(qj, qj) * (factorial(j) * factorial(j + n))
-    return acc
+    qs = [q_series(j, order) for j in range(order + 1)]
+    return _combination_xy(qs, qs, [factorial(j) * factorial(j + n) for j in range(order + 1)])
 
 
 @cache
@@ -233,12 +231,10 @@ def kernel_series(order: int) -> Series2:
 
 def kernel_family(n: int, order: int) -> Series2:
     """e^{nt} * sum_j [n j] d^j/du^j of the kernel, built from the definition."""
-    deriv = kernel_series(order + n)
-    acc = Series2.zero(order)
-    for j in range(n + 1):
-        if j:
-            deriv = deriv.derivative(0)
-        acc = acc + deriv.truncate(order) * stirling_first(n, j)
+    derivs = [kernel_series(order + n)]  # the j-th derivative has order order + n - j
+    for _ in range(n):
+        derivs.append(derivs[-1].derivative(0))
+    acc = _combination(derivs, [stirling_first(n, j) for j in range(n + 1)])
     exp_nt = Series2.embed((Series1.variable(order) * n).exp(), 1)
     return exp_nt * acc
 
@@ -251,14 +247,12 @@ def kernel_family_closed(n: int, order: int) -> Series2:
     """
     e_neg = (-Series1.variable(order)).exp()
     one_minus = 1 - e_neg
-    acc = Series2.zero(order)
-    u_pow = Series1.one(order)
-    t_pow = Series1.one(order)
-    for m in range(1, order + 2):
-        t_pow = t_pow * e_neg
-        if m > 1:
-            u_pow = u_pow * one_minus
-        acc = acc + product_xy(u_pow, t_pow) * rising_factorial(m, n)
+    u_pows = [Series1.one(order)]  # (1-e^{-u})^{m-1} and e^{-mt} for m = 1..order+1
+    t_pows = [e_neg]
+    for _ in range(order):
+        u_pows.append(u_pows[-1] * one_minus)
+        t_pows.append(t_pows[-1] * e_neg)
+    acc = _combination_xy(u_pows, t_pows, [rising_factorial(m, n) for m in range(1, order + 2)])
     exp_neg_nu = Series2.embed((Series1.variable(order) * (-n)).exp(), 0)
     return exp_neg_nu * acc
 
@@ -297,10 +291,8 @@ def f1_term(j: int, order: int) -> Series1:
 
 def f1_series(order: int) -> Series1:
     """sum_j a_j(x); only j <= (order-2)/2 contribute below the truncation."""
-    acc = Series1.zero(order)
-    for j in range(max(order - 2, 0) // 2 + 1):
-        acc = acc + f1_term(j, order)
-    return acc
+    terms = [f1_term(j, order) for j in range(max(order - 2, 0) // 2 + 1)]
+    return _combination(terms, [1] * len(terms))
 
 
 def f1_inhomogeneity(order: int) -> Series1:
@@ -430,9 +422,10 @@ def verify_stirling_expansion(n: int = 3, r: int = 6, order: int = 12) -> Iterat
             for i in range(n + 1)
         )
         yield (("part", "A"), ("m", m)), egf_coefficient(lhs_a, m), rhs
-    lhs_b = Series1.zero(order)
-    for i in range(n + 1):
-        lhs_b = lhs_b + _exp_shift_power(i, r - i, order) * stirling_second(n, i)
+    lhs_b = _combination(
+        [_exp_shift_power(i, r - i, order) for i in range(n + 1)],
+        [stirling_second(n, i) for i in range(n + 1)],
+    )
     for m in range(order + 1):
         yield (
             (("part", "B"), ("m", m)),
@@ -582,10 +575,10 @@ def verify_funceq_remainder(
     if mode == "series":
         terms = [f1_term(j, order) for j in range(n + 2)]
         one_minus_2x = 1 - 2 * Series1.variable(order)
-        lhs = Series1.zero(order)
-        for j in range(n + 1):
-            lhs = lhs + terms[j].mobius_substitution(2) - one_minus_2x * terms[j]
-        lhs = lhs - f1_inhomogeneity(order)
+        shifted = [t.mobius_substitution(2) for t in terms[: n + 1]]
+        scaled = [one_minus_2x * t for t in terms[: n + 1]]
+        scalars = [1] * (n + 1) + [-1] * (n + 2)
+        lhs = _combination([*shifted, *scaled, f1_inhomogeneity(order)], scalars)
         rhs = (
             Series1([0, -2], order)
             * Series1([1, -1], order).inverse()

@@ -265,12 +265,6 @@ def egf_bernoulli(order: int) -> Series1:
     return expm1_over_t.inverse()
 
 
-def egf_genocchi(order: int) -> Series1:
-    """EGF 2t/(e^t + 1) of the Genocchi numbers."""
-    t = Series1.variable(order)
-    return (2 * t) * (t.exp() + 1).inverse()
-
-
 __all__ = [
     "RationalPolynomial",
     "bernoulli",
@@ -285,5 +279,4 @@ __all__ = [
     "egf_poly_bernoulli_C",
     "egf_poly_bernoulli_polynomial",
     "egf_bernoulli",
-    "egf_genocchi",
 ]

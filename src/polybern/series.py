@@ -11,8 +11,8 @@ Every operation returns a fresh series (pure value semantics).  Binary
 operations truncate the result to the smaller operand order.  Products and
 inverses run on integer numerators over one common denominator per operand
 and reduce each output coefficient once, not once per term; Series2.inverse
-also reduces each row of its recurrence once, by the gcd of the row, and the
-polylog blocks are integer sums with one Fraction per coefficient.
+also reduces each row of its recurrence once, by the gcd of the row.  Every
+linear combination sum(c * term) is one integer sum per row (_combination).
 """
 
 from __future__ import annotations
@@ -95,21 +95,60 @@ def _over(ints, den) -> list:
     return [Fraction(v, den) if v else 0 for v in ints]
 
 
-def _combination(rows, scalars) -> "Series1":
-    """sum(c * row) over Series1 rows of one order and Fraction scalars c.
+def _linear_sum(rows, scalars, order) -> "Series1":
+    """sum(c * row) over coefficient rows cut to order and int or Fraction scalars c.
 
-    One integer sum over the common denominator of the terms, then one
-    Fraction per coefficient (zeros included).
+    One integer sum over the common denominator of the rows with a nonzero
+    scalar.  A coefficient is a Fraction where the term-by-term sum gives
+    one: where a row, zero scalars included, has a Fraction, or everywhere
+    when a scalar is a Fraction.  Every other coefficient is an int.
     """
-    parts = [_numerators(row.coeffs) for row in rows]
-    den = lcm(*(d * c.denominator for (_, d), c in zip(parts, scalars)))
-    out = [0] * (rows[0].order + 1)
-    for (ints, d), c in zip(parts, scalars):
-        scale = c.numerator * (den // (d * c.denominator))
-        for j, v in enumerate(ints):
-            if v:
-                out[j] += v * scale
-    return Series1([Fraction(v, den) for v in out], rows[0].order)
+    width = order + 1
+    rows = [row[:width] for row in rows]
+    parts = [(row, *_numerators(row), c) for row, c in zip(rows, scalars, strict=True)]
+    den = lcm(*(d * c.denominator for _, _, d, c in parts if c))
+    out = [0] * width
+    fraction = [False] * width
+    for row, ints, d, c in parts:
+        if type(c) is not int:
+            fraction = [True] * width
+        elif ints is not row:  # _numerators returns an all-int row as it is
+            fraction = [f or type(v) is not int for f, v in zip(fraction, row)]
+        if c:
+            scale = c.numerator * (den // (d * c.denominator))
+            for j, v in enumerate(ints):
+                if v:
+                    out[j] += v * scale
+    return Series1([Fraction(v, den) if f else v // den for v, f in zip(out, fraction)], order)
+
+
+def _combination(terms, scalars):
+    """sum(c * term) over Series1 or Series2 terms and int or Fraction scalars c.
+
+    The result has the smallest order among the terms, and each of its rows
+    is one _linear_sum of the terms' rows.
+    """
+    n = min(t.order for t in terms)
+    if isinstance(terms[0], Series1):
+        return _linear_sum([t.coeffs for t in terms], scalars, n)
+    return Series2._of_rows(
+        _linear_sum([t.rows[i].coeffs for t in terms], scalars, n - i) for i in range(n + 1)
+    )
+
+
+def _combination_xy(xs, ys, scalars):
+    """sum(c * x(x) * y(y)) over pairs of Series1 and int or Fraction scalars c.
+
+    The result has the smallest order among the factors.  Row i is the
+    combination of the y with the scalars c * x[i], so no product is formed
+    per term.
+    """
+    n = min(s.order for s in (*xs, *ys))
+    rows = [y.coeffs for y in ys]
+    return Series2._of_rows(
+        _linear_sum(rows, [c * x.coeffs[i] for c, x in zip(scalars, xs, strict=True)], n - i)
+        for i in range(n + 1)
+    )
 
 
 def _convolve(out, a, b, n) -> None:
@@ -206,6 +245,8 @@ class Series1:
 
     @classmethod
     def monomial(cls, coeff, exponent: int, order: int) -> "Series1":
+        if exponent < 0:
+            raise ValueError("exponent must be non-negative")
         c = [0] * (order + 1)
         if exponent <= order:
             c[exponent] = coeff
@@ -468,17 +509,7 @@ class Series2:
 
 def product_xy(sx: Series1, sy: Series1) -> Series2:
     """The separable product sx(x) * sy(y) as a bivariate series."""
-    order = min(sx.order, sy.order)
-    rows = [
-        [sx.coeffs[i] * sy.coeffs[j] for j in range(order - i + 1)]
-        for i in range(order + 1)
-    ]
-    return Series2(rows, order)
-
-
-def _rows(series):
-    """The Series1 rows of a series; a Series1 is its own one row."""
-    return series.rows if isinstance(series, Series2) else (series,)
+    return _combination_xy([sx], [sy], [1])
 
 
 def polylog_over_argument(k: int, z):
@@ -494,10 +525,9 @@ def polylog_over_argument(k: int, z):
     sum_{r<s} z**r / (b*s+r+1)**k, cut to order n - b*s; the blocks are
     combined by Horner in z**s, each partial sum padded with zeros to the
     next block's order (exact, as z**s has zero constant term).  That is
-    about 2*sqrt(n) series products instead of n.  Each block is one integer
-    sum per row (a Series1 is one row) at the shrinking block order, with one
-    Fraction per coefficient.  Both series constructors cut or zero-pad a
-    coefficient list to the order given.
+    about 2*sqrt(n) series products instead of n.  Each block is one
+    _combination at the shrinking block order.  Both series constructors cut
+    or zero-pad a coefficient list to the order given.
     """
     if z.constant_term != 0:
         raise DomainError("polylog substitution needs a zero constant term")
@@ -511,9 +541,7 @@ def polylog_over_argument(k: int, z):
         order = n - start
         width = min(s, order + 1)
         scalars = [Fraction(start + r + 1) ** (-k) for r in range(width)]
-        cut = (_rows(cls(powers[r].coeffs, order)) for r in range(width))
-        rows = [_combination(terms, scalars) for terms in zip(*cut)]
-        block = Series2._of_rows(rows) if cls is Series2 else rows[0]
+        block = _combination([powers[r].truncate(order) for r in range(width)], scalars)
         if acc is None:
             acc = block
         else:

@@ -13,7 +13,6 @@ from polybern.combinatorics import (
     _stirling_triangle,
     binomial,
     format_rational,
-    orthogonality_check,
     rising_factorial,
     stirling_first,
     stirling_second,
@@ -81,6 +80,11 @@ def test_rising_factorial_type_and_edges():
     assert rising_factorial(1, 5) == factorial(5)
     with pytest.raises(ValueError):
         rising_factorial(1, -1)
+
+
+def orthogonality_check(n: int, m: int) -> int:
+    """sum_{l=0}^{n} (-1)^l [n l] {l m}, which contracts to (-1)^n delta_{m,n}."""
+    return sum((-1) ** l * stirling_first(n, l) * stirling_second(l, m) for l in range(n + 1))
 
 
 def test_orthogonality():

@@ -9,6 +9,7 @@ slip through.
 import inspect
 import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from polybern.identities import (
     verify_all,
     verify_one,
 )
+from polybern.combinatorics import rising_factorial, stirling_first
 from polybern.polybernoulli import bernoulli, genocchi, poly_bernoulli_B
 from polybern.series import DomainError, Series1, Series2, product_xy
 
@@ -261,6 +263,8 @@ def test_q_series_routes_agree():
         assert idn.q_series(j, 12, "stirling") == idn.q_series(j, 12, "rational")
     with pytest.raises(ParameterError):
         idn.q_series(2, 8, "guess")
+    with pytest.raises(ValueError):
+        idn.q_series(-1, 4)
 
 
 def test_g1_inhomogeneity_expansion():
@@ -280,6 +284,68 @@ def test_kernel_derivative_recurrence():
         e_neg_t = Series2.embed((-Series1.variable(order)).exp(), 1)
         rhs = e_neg_t * gn1 - gn * n
         assert gn.derivative(0) == rhs.truncate(order - 1)
+
+
+# The builders' sums added term by term, as they were written before they
+# went through the series kernel: references for values and coefficient types.
+
+
+def ogf_series_by_loop(n, order):
+    acc = Series2.zero(order)
+    for j in range(order + 1):
+        qj = idn.q_series(j, order)
+        acc = acc + product_xy(qj, qj) * (factorial(j) * factorial(j + n))
+    return acc
+
+
+def kernel_family_by_loop(n, order):
+    deriv = idn.kernel_series(order + n)
+    acc = Series2.zero(order)
+    for j in range(n + 1):
+        if j:
+            deriv = deriv.derivative(0)
+        acc = acc + deriv.truncate(order) * stirling_first(n, j)
+    return Series2.embed((Series1.variable(order) * n).exp(), 1) * acc
+
+
+def kernel_family_closed_by_loop(n, order):
+    e_neg = (-Series1.variable(order)).exp()
+    one_minus = 1 - e_neg
+    acc = Series2.zero(order)
+    u_pow = Series1.one(order)
+    t_pow = Series1.one(order)
+    for m in range(1, order + 2):
+        t_pow = t_pow * e_neg
+        if m > 1:
+            u_pow = u_pow * one_minus
+        acc = acc + product_xy(u_pow, t_pow) * rising_factorial(m, n)
+    return Series2.embed((Series1.variable(order) * (-n)).exp(), 0) * acc
+
+
+def f1_series_by_loop(order):
+    acc = Series1.zero(order)
+    for j in range(max(order - 2, 0) // 2 + 1):
+        acc = acc + idn.f1_term(j, order)
+    return acc
+
+
+def coefficient_types(s):
+    rows = s.coeffs if isinstance(s, Series2) else (s.coeffs,)
+    return [[type(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("order", (5, 9))
+def test_builders_match_their_term_by_term_sums(order):
+    pairs = [(idn.f1_series(order), f1_series_by_loop(order))]
+    for n in (0, 1, 3):
+        pairs += [
+            (idn.ogf_series(n, order), ogf_series_by_loop(n, order)),
+            (idn.kernel_family(n, order), kernel_family_by_loop(n, order)),
+            (idn.kernel_family_closed(n, order), kernel_family_closed_by_loop(n, order)),
+        ]
+    for got, expected in pairs:
+        assert got == expected and got.order == expected.order == order
+        assert coefficient_types(got) == coefficient_types(expected)
 
 
 def test_kernel_closed_form_truncation_is_tight():

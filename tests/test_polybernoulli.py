@@ -25,7 +25,6 @@ from polybern.polybernoulli import (
     _stirling_vector,
     bernoulli,
     egf_bernoulli,
-    egf_genocchi,
     egf_poly_bernoulli_B,
     egf_poly_bernoulli_C,
     egf_poly_bernoulli_polynomial,
@@ -37,7 +36,7 @@ from polybern.polybernoulli import (
     script_B_closed,
     script_B_def,
 )
-from polybern.series import egf_coefficient
+from polybern.series import Series1, egf_coefficient
 
 BERNOULLI_ORACLE = [
     Fraction(1),
@@ -142,6 +141,12 @@ def test_tables_grow_consistently_under_concurrent_queries():
     assert sorted(lines) == sorted(
         f"{n} {expected[n]!r} {2 * (1 - 2**n) * expected[n]}" for n in range(241)
     )
+
+
+def egf_genocchi(order: int) -> Series1:
+    """EGF 2t/(e^t + 1) of the Genocchi numbers."""
+    t = Series1.variable(order)
+    return (2 * t) * (t.exp() + 1).inverse()
 
 
 def test_classical_egfs_extract_back():

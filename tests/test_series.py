@@ -11,6 +11,8 @@ from polybern.series import (
     DomainError,
     Series1,
     Series2,
+    _combination,
+    _combination_xy,
     egf_coefficient,
     polylog_over_argument,
     product_xy,
@@ -96,6 +98,14 @@ def test_constructors_and_getitem():
     assert Series2.embed(Series1.variable(0), 0) == Series2.zero(0)
     with pytest.raises(ValueError):
         Series2.embed(Series1.variable(3), 2)
+
+
+def test_monomial_rejects_a_negative_exponent():
+    assert Series1.monomial(3, 0, 2) == Series1([3], 2)
+    assert Series1.monomial(3, 5, 2) == Series1.zero(2)
+    for exponent in (-1, -3):
+        with pytest.raises(ValueError, match="non-negative"):
+            Series1.monomial(1, exponent, 5)
 
 
 def test_equality_requires_same_order():
@@ -602,6 +612,97 @@ def test_polylog_over_argument_matches_direct_sum(k):
     assert got == expected and coefficient_types(got) == coefficient_types(expected)
 
 
+# ---------------------------------------------------------------------------
+# the linear-combination kernel
+
+
+def combination_by_terms(terms, scalars):
+    """sum(c * term) added term by term from zero, at the smallest order."""
+    assert len(terms) == len(scalars)
+    n = min(t.order for t in terms)
+    acc = type(terms[0]).zero(n)
+    for term, c in zip(terms, scalars):
+        acc = acc + term.truncate(n) * c
+    return acc
+
+
+def assert_same_series(got, expected):
+    assert got == expected and got.order == expected.order
+    assert coefficient_types(got) == coefficient_types(expected)
+
+
+# Zero, Fraction(v, 1) and proper-fraction scalars next to plain ints.
+scalar = st.one_of(int_coeff, st.builds(Fraction, st.integers(-5, 5)), coeff)
+
+
+@given(st.lists(st.tuples(series1_any_order(), scalar), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_combination_1d_matches_term_by_term_sum(pairs):
+    terms, scalars = [t for t, _ in pairs], [c for _, c in pairs]
+    assert_same_series(_combination(terms, scalars), combination_by_terms(terms, scalars))
+
+
+@given(st.lists(st.tuples(series2_any_order(kernel_coeff), scalar), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_combination_2d_matches_term_by_term_sum(pairs):
+    terms, scalars = [t for t, _ in pairs], [c for _, c in pairs]
+    assert_same_series(_combination(terms, scalars), combination_by_terms(terms, scalars))
+
+
+@pytest.mark.parametrize(
+    "terms,scalars,types",
+    [
+        # a zero scalar on a Fraction term still makes that coefficient a Fraction
+        ([Series1([1, Fraction(1, 2)], 1), Series1([2, 3], 1)], [0, 1], [int, Fraction]),
+        # a Fraction(v, 1) scalar makes every coefficient a Fraction
+        ([Series1([1, 2], 1), Series1([0, 1], 3)], [Fraction(3), 2], [Fraction, Fraction]),
+        # rows mixing int 0 with Fractions keep each coefficient's type
+        (
+            [Series1([0, Fraction(1, 2), 0, 3], 3), Series1([1, 0, Fraction(2, 3), 0], 4)],
+            [2, 3],
+            [int, Fraction, Fraction, int],
+        ),
+        (
+            [Series1([Fraction(1, 2), 0], 1), Series1([Fraction(1, 2), 1], 1)],
+            [2, -2],
+            [Fraction, int],
+        ),
+    ],
+)
+def test_combination_coefficient_types(terms, scalars, types):
+    got = _combination(terms, scalars)
+    assert_same_series(got, combination_by_terms(terms, scalars))
+    assert [type(c) for c in got.coeffs] == types
+    rows = [Series2([t.coeffs, [Fraction(1, 3)]], t.order) for t in terms]
+    assert_same_series(_combination(rows, scalars), combination_by_terms(rows, scalars))
+
+
+@given(
+    st.lists(
+        st.tuples(series1_any_order(), series1_any_order(), scalar), min_size=1, max_size=4
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_combination_xy_matches_sum_of_products(triples):
+    xs, ys, scalars = (list(column) for column in zip(*triples))
+    expected = combination_by_terms([product_xy(x, y) for x, y in zip(xs, ys)], scalars)
+    assert_same_series(_combination_xy(xs, ys, scalars), expected)
+
+
+def test_combination_rejects_unequal_lengths():
+    a, b = Series1([1, 2], 1), Series1([Fraction(1, 2), 3], 1)
+    with pytest.raises(ValueError):
+        _combination([a, b], [1])
+    with pytest.raises(ValueError):
+        _combination([Series2.embed(a, 0)], [1, 2])
+    with pytest.raises(ValueError):
+        _combination_xy([a, b], [b], [1, 2])
+    with pytest.raises(ValueError):
+        _combination_xy([a], [b, a], [1, 2])
+    with pytest.raises(ValueError):
+        _combination_xy([a], [b], [1, 2])
+
+
 def test_egf_coefficient():
     e = Series1.variable(7).exp()
     assert all(egf_coefficient(e, n) == 1 for n in range(8))
@@ -614,6 +715,14 @@ def test_product_xy_matches_embeddings():
     a = Series1([1, 2, 3, 4], 3)
     b = Series1([5, 6, 7, 8], 3)
     assert product_xy(a, b) == Series2.embed(a, 0) * Series2.embed(b, 1)
+
+
+@given(series1_any_order(), series1_any_order())
+@settings(max_examples=40, deadline=None)
+def test_product_xy_is_the_coefficientwise_product(a, b):
+    n = min(a.order, b.order)
+    expected = Series2([[a[i] * b[j] for j in range(n - i + 1)] for i in range(n + 1)], n)
+    assert_same_series(product_xy(a, b), expected)
 
 
 def test_embed_round_trip():
