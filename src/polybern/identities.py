@@ -9,12 +9,8 @@ the ones the generator runs with.  The decorator registers it in
 :data:`REGISTRY` as the ``verify_*`` runner, which runs it with exactly what
 its entry's ``bind`` returns, reports that as the parameters of its
 :class:`VerificationReport`, and stops at the first failing equality.
-
-Every runner accepts a keyword-only ``mutate_at`` fault-injection hook:
-passing the location tuple of one checked equality adds 1 to that
-left-hand side, which must flip the report to failed.  The test-suite
-uses this to prove the checks are actually sensitive to every compared
-coefficient family.
+The tests inject their faults from outside, by patching :func:`_compare`
+or a route that one side reads.
 """
 
 from __future__ import annotations
@@ -78,27 +74,17 @@ REGISTRY: dict[str, IdentityEntry] = {}
 
 
 def _compare(
-    identity_id: str, pairs: Iterable[CheckPair], mutate_at: Optional[Location]
+    identity_id: str, pairs: Iterable[CheckPair]
 ) -> tuple[Optional[Counterexample], int]:
     """The first failing equality (or None) and the number of equalities compared."""
     checked = 0
-    mutated = False
     for location, lhs, rhs in pairs:
-        if mutate_at is not None and location == mutate_at:
-            lhs = lhs + 1
-            mutated = True
         checked += 1
         if lhs != rhs:
             return Counterexample(location, lhs, rhs), checked
     if checked == 0:
         raise ParameterError(f"{identity_id}: empty check range")
-    if mutate_at is not None and not mutated:
-        raise ParameterError(f"{identity_id}: mutate_at {mutate_at!r} is not a compared location")
     return None, checked
-
-
-def _not_accepted(identity_id: str, name: str) -> ParameterError:
-    return ParameterError(f"identity {identity_id!r} does not accept parameter {name!r}")
 
 
 def _verifier(
@@ -127,7 +113,9 @@ def _verifier(
         def bind(*args, **given) -> dict:
             for name in given:
                 if name not in accepted:
-                    raise _not_accepted(identity_id, name)
+                    raise ParameterError(
+                        f"identity {identity_id!r} does not accept parameter {name!r}"
+                    )
             if args:
                 given = signature.bind(*args, **given).arguments
             arguments = {**accepted, **given}
@@ -140,20 +128,16 @@ def _verifier(
             return arguments
 
         @wraps(pairs_of)
-        def runner(*args, mutate_at=None, **kwargs) -> VerificationReport:
+        def runner(*args, **kwargs) -> VerificationReport:
             started = perf_counter()
             parameters = bind(*args, **kwargs)
-            counterexample, checked = _compare(identity_id, pairs_of(**parameters), mutate_at)
+            counterexample, checked = _compare(identity_id, pairs_of(**parameters))
             elapsed = perf_counter() - started
             return VerificationReport(
                 identity_id, parameters, counterexample is None, counterexample, checked, elapsed
             )
 
-        hook = inspect.Parameter("mutate_at", inspect.Parameter.KEYWORD_ONLY, default=None)
-        runner.__signature__ = signature.replace(
-            parameters=[*signature.parameters.values(), hook],
-            return_annotation="VerificationReport",
-        )
+        runner.__signature__ = signature.replace(return_annotation="VerificationReport")
         REGISTRY[identity_id] = IdentityEntry(identity_id, runner, defaults, bind)
         return runner
 
@@ -339,7 +323,15 @@ def _guard_sample_point(x: Fraction, n: int) -> None:
 # Verifiers.
 
 
-@_verifier("duality", max_l=0, max_m=0, max_n=0)
+def _require_off_diagonal(given, max_l: int, max_m: int, **_) -> None:
+    if max_l == max_m == 0:
+        raise ParameterError(
+            "duality requires max_l >= 1 or max_m >= 1: "
+            "at l = m = 0 it compares script_B_def(0, 0, n) with itself"
+        )
+
+
+@_verifier("duality", check=_require_off_diagonal, max_l=0, max_m=0, max_n=0)
 def verify_duality(max_l: int = 20, max_m: int = 20, max_n: int = 6) -> Iterator[CheckPair]:
     """script_B_def(m, l, n) = script_B_def(l, m, n) on the full index box."""
     for l in range(max_l + 1):
@@ -634,10 +626,7 @@ def _registered(identity_id: str) -> IdentityEntry:
 
 def verify_one(identity_id: str, **overrides) -> VerificationReport:
     """Run a single registered identity check with parameter overrides."""
-    entry = _registered(identity_id)
-    if "mutate_at" in overrides:  # the hook of the verify_* functions, not a parameter
-        raise _not_accepted(identity_id, "mutate_at")
-    return entry.runner(**overrides)
+    return _registered(identity_id).runner(**overrides)
 
 
 def verify_all(config: Optional[dict] = None) -> list[VerificationReport]:

@@ -10,6 +10,8 @@ import functools
 import time
 from fractions import Fraction
 
+import pytest
+
 from polybern.identities import REGISTRY, verify_one
 from polybern.polybernoulli import (
     egf_poly_bernoulli_B,
@@ -21,6 +23,8 @@ from polybern.polybernoulli import (
     script_B_def,
 )
 from polybern.series import egf_coefficient
+
+from faults import run_mutated
 
 
 def criterion(num, limit_seconds, description):
@@ -126,9 +130,9 @@ def test_criterion_10():
     }
     assert set(probes) == set(REGISTRY)
     for identity_id, (kwargs, location) in probes.items():
-        runner = REGISTRY[identity_id].runner
-        assert runner(**kwargs).passed, identity_id
-        mutated = runner(mutate_at=location, **kwargs)
+        assert REGISTRY[identity_id].runner(**kwargs).passed, identity_id
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            mutated = run_mutated(monkeypatch, identity_id, kwargs, location)
         assert not mutated.passed, identity_id
         assert mutated.counterexample.location == location
 

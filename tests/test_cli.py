@@ -409,6 +409,16 @@ def test_verify_mode_is_checked_by_its_identity(capsys):
         assert (code, out, err) == (2, "", "error: mode must be 'series' or 'sample', got 'foo'\n")
 
 
+def test_verify_duality_rejects_the_box_of_its_diagonal_alone(capsys):
+    message = (
+        "error: duality requires max_l >= 1 or max_m >= 1: "
+        "at l = m = 0 it compares script_B_def(0, 0, n) with itself\n"
+    )
+    for target in ("duality", "all"):
+        code, out, err = run_cli(capsys, "verify", target, "--max-l", "0", "--max-m", "0")
+        assert (code, out, err) == (2, "", message)
+
+
 def test_verify_unknown_identity(capsys):
     code, _, err = run_cli(capsys, "verify", "nosuchid")
     assert code == 2

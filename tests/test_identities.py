@@ -1,9 +1,10 @@
 """Identity-verification layer: every check passes, and every check can fail.
 
 Each verifier is exercised twice — once clean, once with a single +1
-injected into one compared left-hand side via ``mutate_at`` — so a check
-that silently compares nothing (or compares a value with itself) cannot
-slip through.
+injected into one compared left-hand side by ``faults.run_mutated`` — so a
+check that silently compares nothing (or compares a value with itself)
+cannot slip through.  ``test_route_faults.py`` faults the routes each side
+reads.
 """
 
 import inspect
@@ -28,6 +29,8 @@ from polybern.identities import (
 from polybern.combinatorics import rising_factorial, stirling_first
 from polybern.polybernoulli import bernoulli, genocchi, poly_bernoulli_B
 from polybern.series import DomainError, Series1, Series2, product_xy
+
+from faults import run_mutated
 
 # Moderate bounds keep the clean+mutated double pass quick.
 SMALL = {
@@ -88,9 +91,8 @@ def test_each_identity_passes(identity_id):
 
 
 @pytest.mark.parametrize("identity_id,kwargs,location", MUTATIONS)
-def test_mutation_flips_to_located_failure(identity_id, kwargs, location):
-    runner = REGISTRY[identity_id].runner
-    mutated = runner(mutate_at=location, **kwargs)
+def test_mutation_flips_to_located_failure(monkeypatch, identity_id, kwargs, location):
+    mutated = run_mutated(monkeypatch, identity_id, kwargs, location)
     assert not mutated.passed
     assert isinstance(mutated.counterexample, Counterexample)
     assert mutated.counterexample.location == location
@@ -104,9 +106,9 @@ def test_mutation_flips_to_located_failure(identity_id, kwargs, location):
         (("j", 0),),  # key the verifier never uses
     ],
 )
-def test_mutation_of_uncompared_location_is_rejected(location):
-    with pytest.raises(ParameterError, match="not a compared location"):
-        idn.verify_beta1_funceq(10, mutate_at=location)
+def test_mutation_of_uncompared_location_is_rejected(monkeypatch, location):
+    with pytest.raises(AssertionError, match="not a compared location"):
+        run_mutated(monkeypatch, "beta1-funceq", dict(order=10), location)
 
 
 @pytest.mark.parametrize(
@@ -144,6 +146,8 @@ def test_unknown_identity_and_parameter():
     # the registered verifier itself checks its argument names
     with pytest.raises(ParameterError, match="^identity 'duality' does not accept parameter"):
         idn.verify_duality(order=5)
+    with pytest.raises(ParameterError, match="does not accept parameter 'mutate_at'"):
+        idn.verify_beta1_funceq(10, mutate_at=(("i", 0),))
 
 
 def test_each_run_binds_its_arguments_once(monkeypatch):
@@ -189,6 +193,7 @@ def test_each_run_binds_its_arguments_once(monkeypatch):
         ("funceq-remainder", dict(mode="sample", order=0)),
         ("funceq-remainder", dict(mode="sample", order=30)),
         ("funceq-remainder", dict(points=(Fraction(1, 100),))),
+        ("duality", dict(max_l=0, max_m=0)),  # compares script_B_def(0, 0, n) with itself
     ],
 )
 def test_out_of_contract_parameters(identity_id, kwargs):
@@ -425,8 +430,9 @@ def test_registry_shape():
         # The benchmark tracer rebinds registry entries by runner identity.
         assert entry.runner is getattr(idn, "verify_" + identity_id.replace("-", "_"))
         assert entry.defaults == DEFAULTS[identity_id]
-        mutate_at = inspect.signature(entry.runner).parameters["mutate_at"]
-        assert (mutate_at.kind, mutate_at.default) == (mutate_at.KEYWORD_ONLY, None)
+        signature = inspect.signature(entry.runner)
+        assert tuple(signature.parameters) == tuple(name for name, _ in entry.defaults)
+        assert signature.return_annotation == "VerificationReport"
 
 
 def test_verify_all_runs_in_registry_order():
@@ -448,3 +454,8 @@ def test_verify_all_partial_config_and_errors():
         verify_all({"no-such-identity": {}})
     with pytest.raises(ParameterError):
         verify_all({"duality": {"order": 4}})
+    with pytest.raises(ParameterError, match="^duality requires max_l >= 1 or max_m >= 1"):
+        verify_all({"duality": {"max_l": 0, "max_m": 0}})
+    # one off-diagonal index is enough: (l, m) = (0, 0) and (0, 1), for n <= 6
+    report = verify_one("duality", max_l=0, max_m=1)
+    assert report.passed and report.checked_count == 14
