@@ -18,8 +18,8 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, wraps
-from math import factorial
+from functools import cache, partial, wraps
+from math import factorial, prod
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -185,18 +185,23 @@ def egf_closed_form(n: int, order: int) -> Series2:
     return numerator * denominator_series(order).power(-(n + 1))
 
 
+def _rational(numerator: Series1, factors) -> Series1:
+    """numerator / prod(factors): the factors (at least one) are coefficient lists
+    of polynomials with nonzero constant term, and their product is inverted once."""
+    denominator = prod(Series1(factor, numerator.order) for factor in factors)
+    return numerator * denominator.inverse()
+
+
 def q_series(j: int, order: int, route: str = "rational") -> Series1:
     """Q_j(X) = X^j / prod_{v=1..j+1}(1 - vX) = sum_{l>=j} {l+1 brace j+1} X^l."""
+    _require_index("j", j)
     if route == "stirling":
         return Series1([stirling_second(l + 1, j + 1) for l in range(order + 1)], order)
     if route != "rational":
         raise ParameterError(f"route must be 'rational' or 'stirling', got {route!r}")
     if j > order:
         return Series1.zero(order)
-    denom = Series1.one(order)
-    for v in range(1, j + 2):
-        denom = denom * Series1([1, -v], order)
-    return Series1.monomial(1, j, order) * denom.inverse()
+    return _rational(Series1.monomial(1, j, order), ([1, -v] for v in range(1, j + 2)))
 
 
 def ogf_series(n: int, order: int) -> Series2:
@@ -259,18 +264,16 @@ def g1_series(order: int) -> Series1:
 
 def g1_inhomogeneity(order: int) -> Series1:
     """2x^3 (x - 2) / (1 - x)^2, which expands as -2 sum_{m>=2} m x^{m+1}."""
-    return Series1([0, 0, 0, -4, 2], order) * Series1([1, -1], order).power(-2)
+    return _rational(Series1([0, 0, 0, -4, 2], order), [[1, -1]] * 2)
 
 
 def f1_term(j: int, order: int) -> Series1:
     """a_j(x) = (-1)^j j!(j+1)! x^{2j+2} / prod_{v=1..j+1}(1-vx)(1+vx)."""
     if 2 * j + 2 > order:
         return Series1.zero(order)
-    denom = Series1.one(order)
-    for v in range(1, j + 2):
-        denom = denom * Series1([1, 0, -v * v], order)
     lead = (-1) ** j * factorial(j) * factorial(j + 1)
-    return Series1.monomial(lead, 2 * j + 2, order) * denom.inverse()
+    numerator = Series1.monomial(lead, 2 * j + 2, order)
+    return _rational(numerator, ([1, 0, -v * v] for v in range(1, j + 2)))
 
 
 def f1_series(order: int) -> Series1:
@@ -281,11 +284,7 @@ def f1_series(order: int) -> Series1:
 
 def f1_inhomogeneity(order: int) -> Series1:
     """2x^3 (3 - 6x + 2x^2) / ((1-x)^2 (1-2x))."""
-    return (
-        Series1([0, 0, 0, 6, -12, 4], order)
-        * Series1([1, -1], order).power(-2)
-        * Series1([1, -2], order).inverse()
-    )
+    return _rational(Series1([0, 0, 0, 6, -12, 4], order), [[1, -1], [1, -1], [1, -2]])
 
 
 def f1_term_at(j: int, x) -> Fraction:
@@ -344,17 +343,18 @@ def verify_duality(max_l: int = 20, max_m: int = 20, max_n: int = 6) -> Iterator
                 )
 
 
+def _closed_form_pairs(coefficient, n: int, order: int, *prefix) -> Iterator[CheckPair]:
+    """Pair coefficient((l, m)) with script_B_closed(m, l, n) for l + m <= order."""
+    for l in range(order + 1):
+        for m in range(order - l + 1):
+            yield (*prefix, ("l", l), ("m", m)), coefficient((l, m)), script_B_closed(m, l, n)
+
+
 @_verifier("egf", n=0, order=2)
 def verify_egf(n: int = 4, order: int = 14) -> Iterator[CheckPair]:
     """EGF coefficients of n!e^{x+y}/(e^x+e^y-e^{x+y})^{n+1} vs script_B_closed."""
     series = egf_closed_form(n, order)
-    for l in range(order + 1):
-        for m in range(order - l + 1):
-            yield (
-                (("l", l), ("m", m)),
-                egf_coefficient(series, (l, m)),
-                script_B_closed(m, l, n),
-            )
+    yield from _closed_form_pairs(partial(egf_coefficient, series), n, order)
 
 
 @_verifier("ogf", n=0, order=1)
@@ -373,13 +373,7 @@ def verify_ogf(n: int = 4, order: int = 14) -> Iterator[CheckPair]:
             ("j", j),
         )
     series = ogf_series(n, order)
-    for l in range(order + 1):
-        for m in range(order - l + 1):
-            yield (
-                (("part", "sum"), ("l", l), ("m", m)),
-                series[l, m],
-                script_B_closed(m, l, n),
-            )
+    yield from _closed_form_pairs(series.__getitem__, n, order, ("part", "sum"))
 
 
 @_verifier("trivariate", order=1)
@@ -559,27 +553,19 @@ def verify_funceq_remainder(
     sum_{j<=n}(a_j(x/(1-2x)) - (1-2x)a_j(x)) - 2x^3(3-6x+2x^2)/((1-x)^2(1-2x))
       = -(2x/(1-x)) * ((1+(n+2)x)/(1-(n+3)x)) * ((n+3)(x-1)^2-(n+2)(2x-1)) * a_{n+1}(x)
 
-    ``mode='series'`` compares truncated expansions to the given order;
-    ``mode='sample'`` evaluates both sides exactly at rational points away
-    from every pole of the identity.  Giving ``points`` in series mode or
-    ``order`` in sample mode raises ParameterError.
+    ``mode='series'`` compares truncated expansions to the given order, the
+    left side substituting the partial sum sum_{j<=n} a_j once (substitution
+    is linear); ``mode='sample'`` evaluates both sides exactly at rational
+    points away from every pole of the identity.  Giving ``points`` in series
+    mode or ``order`` in sample mode raises ParameterError.
     """
     if mode == "series":
-        terms = [f1_term(j, order) for j in range(n + 2)]
-        one_minus_2x = 1 - 2 * Series1.variable(order)
-        shifted = [t.mobius_substitution(2) for t in terms[: n + 1]]
-        scaled = [one_minus_2x * t for t in terms[: n + 1]]
-        scalars = [1] * (n + 1) + [-1] * (n + 2)
-        lhs = _combination([*shifted, *scaled, f1_inhomogeneity(order)], scalars)
-        rhs = (
-            Series1([0, -2], order)
-            * Series1([1, -1], order).inverse()
-            * Series1([1, n + 2], order)
-            * Series1([1, -(n + 3)], order).inverse()
-            * Series1(list(_remainder_prefactor_poly(n)), order)
-            * terms[n + 1]
-        )
-        return _coefficient_pairs(lhs, rhs)
+        partial_sum = _combination([f1_term(j, order) for j in range(n + 1)], [1] * (n + 1))
+        lhs = partial_sum.mobius_substitution(2) - (1 - 2 * Series1.variable(order)) * partial_sum
+        numerator = Series1([0, -2], order) * Series1([1, n + 2], order) * f1_term(n + 1, order)
+        numerator *= Series1(_remainder_prefactor_poly(n), order)
+        rhs = _rational(numerator, [[1, -1], [1, -(n + 3)]])
+        return _coefficient_pairs(lhs - f1_inhomogeneity(order), rhs)
     return (((("x", x),), *_remainder_sides_at(n, x)) for x in map(Fraction, points))
 
 
@@ -587,7 +573,8 @@ def verify_funceq_remainder(
 def verify_uniqueness_recursion(max_m: int = 40) -> Iterator[CheckPair]:
     """The recursion sum_{n<m} C(m,n) 2^{m-n} (2^{n+1}-2) B_n = -2m for m >= 2,
     its rewriting sum_{n<=m} C(m,n) 2^{m-n} B_n = m + B_m, and the forward
-    solve: the recursion with d_0 = 0 reproduces d_n = (2^{n+1}-2) B_n."""
+    solve: the recursion with d_0 = 0 reproduces d_n = (2^{n+1}-2) B_n.
+    It reads B_0..B_{max_m-1}: B_{max_m} cancels in the rewriting at m = max_m."""
     for m in range(2, max_m + 1):
         value = sum(
             binomial(m, k) * 2 ** (m - k) * (2 ** (k + 1) - 2) * bernoulli(k)

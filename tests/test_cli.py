@@ -260,22 +260,23 @@ def test_expand_unknown_function(capsys):
     assert code == 2 and "egf-scriptB" in err
 
 
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        ("table scriptB --m -1 --l 0 --n 0", "--m must be non-negative"),
-        ("expand g1 --order -1", "--order must be non-negative"),
-        ("expand egf-poly --k 1", "expand egf-poly requires --k and --x"),
-        ("expand egf-scriptB", "expand egf-scriptB requires --n"),
-        ("expand egf-scriptB --n -1", "--n must be non-negative"),
-        ("table polybernoulli-B", "table polybernoulli-B requires --k"),
-        ("table scriptB --m 1", "table scriptB requires --m, --l and --n"),
-        ("table bernoulli --max-n -1", "--max-n must be non-negative"),
-        ("expand egf-B", "expand egf-B requires --k"),
-        ("expand egf-B --k 1 --order -1", "--order must be non-negative"),
-        ("expand egf-poly --k 1 --x abc", "invalid rational for --x: 'abc'"),
-    ],
-)
+OUT_OF_RANGE = [
+    ("table scriptB --m -1 --l 0 --n 0", "--m must be non-negative"),
+    ("expand g1 --order -1", "--order must be non-negative"),
+    ("expand egf-poly --k 1", "expand egf-poly requires --k and --x"),
+    ("expand egf-scriptB", "expand egf-scriptB requires --n"),
+    ("expand egf-scriptB --n -1", "--n must be non-negative"),
+    ("table polybernoulli-B", "table polybernoulli-B requires --k"),
+    ("table scriptB --m 1", "table scriptB requires --m, --l and --n"),
+    ("table bernoulli --max-n -1", "--max-n must be non-negative"),
+    ("expand egf-B", "expand egf-B requires --k"),
+    ("expand egf-B --k 1 --order -1", "--order must be non-negative"),
+    ("expand egf-poly --k 1 --x abc", "invalid rational for --x: 'abc'"),
+]
+
+
+# ids from the command line alone, so that editing a message renames no test
+@pytest.mark.parametrize("argv,message", OUT_OF_RANGE, ids=[argv for argv, _ in OUT_OF_RANGE])
 def test_out_of_range_option_exits_two_with_its_message(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 

@@ -250,11 +250,7 @@ def test_remainder_series_valuation():
     # exactly at degree 2n+5
     order = 24
     for n in (2, 3, 4):
-        lhs = Series1.zero(order)
-        for j in range(n + 1):
-            a = idn.f1_term(j, order)
-            lhs = lhs + a.mobius_substitution(2) - Series1([1, -2], order) * a
-        lhs = lhs - idn.f1_inhomogeneity(order)
+        lhs, _ = remainder_sides_term_by_term(n, order)
         assert all(lhs[i] == 0 for i in range(2 * n + 5))
         assert lhs[2 * n + 5] != 0
 
@@ -268,8 +264,9 @@ def test_q_series_routes_agree():
         assert idn.q_series(j, 12, "stirling") == idn.q_series(j, 12, "rational")
     with pytest.raises(ParameterError):
         idn.q_series(2, 8, "guess")
-    with pytest.raises(ValueError):
-        idn.q_series(-1, 4)
+    for route in ("rational", "stirling"):
+        with pytest.raises(ValueError):
+            idn.q_series(-1, 4, route)
 
 
 def test_g1_inhomogeneity_expansion():
@@ -292,7 +289,9 @@ def test_kernel_derivative_recurrence():
 
 
 # The builders' sums added term by term, as they were written before they
-# went through the series kernel: references for values and coefficient types.
+# went through the series kernel, and the rational functions with one inverse
+# per factor or power, as they were written before _rational: references for
+# values and coefficient types.
 
 
 def ogf_series_by_loop(n, order):
@@ -334,6 +333,55 @@ def f1_series_by_loop(order):
     return acc
 
 
+def q_series_by_denominator_loop(j, order):
+    if j > order:
+        return Series1.zero(order)
+    denom = Series1.one(order)
+    for v in range(1, j + 2):
+        denom = denom * Series1([1, -v], order)
+    return Series1.monomial(1, j, order) * denom.inverse()
+
+
+def f1_term_by_denominator_loop(j, order):
+    if 2 * j + 2 > order:
+        return Series1.zero(order)
+    denom = Series1.one(order)
+    for v in range(1, j + 2):
+        denom = denom * Series1([1, 0, -v * v], order)
+    lead = (-1) ** j * factorial(j) * factorial(j + 1)
+    return Series1.monomial(lead, 2 * j + 2, order) * denom.inverse()
+
+
+def g1_inhomogeneity_by_powers(order):
+    return Series1([0, 0, 0, -4, 2], order) * Series1([1, -1], order).power(-2)
+
+
+def f1_inhomogeneity_by_powers(order):
+    return (
+        Series1([0, 0, 0, 6, -12, 4], order)
+        * Series1([1, -1], order).power(-2)
+        * Series1([1, -2], order).inverse()
+    )
+
+
+def remainder_sides_term_by_term(n, order):
+    """Both series sides of funceq-remainder, each a_j substituted on its own."""
+    lhs = Series1.zero(order)
+    for j in range(n + 1):
+        a = idn.f1_term(j, order)
+        lhs = lhs + a.mobius_substitution(2) - Series1([1, -2], order) * a
+    lhs = lhs - idn.f1_inhomogeneity(order)
+    rhs = (
+        Series1([0, -2], order)
+        * Series1([1, -1], order).inverse()
+        * Series1([1, n + 2], order)
+        * Series1([1, -(n + 3)], order).inverse()
+        * Series1([2 * n + 5, -(4 * n + 10), n + 3], order)
+        * idn.f1_term(n + 1, order)
+    )
+    return lhs, rhs
+
+
 def coefficient_types(s):
     rows = s.coeffs if isinstance(s, Series2) else (s.coeffs,)
     return [[type(c) for c in row] for row in rows]
@@ -347,6 +395,23 @@ def test_builders_match_their_term_by_term_sums(order):
             (idn.ogf_series(n, order), ogf_series_by_loop(n, order)),
             (idn.kernel_family(n, order), kernel_family_by_loop(n, order)),
             (idn.kernel_family_closed(n, order), kernel_family_closed_by_loop(n, order)),
+        ]
+    for j in range(order + 2):
+        pairs += [
+            (idn.q_series(j, order), q_series_by_denominator_loop(j, order)),
+            (idn.f1_term(j, order), f1_term_by_denominator_loop(j, order)),
+        ]
+    pairs += [
+        (idn.g1_inhomogeneity(order), g1_inhomogeneity_by_powers(order)),
+        (idn.f1_inhomogeneity(order), f1_inhomogeneity_by_powers(order)),
+    ]
+    remainder_pairs = REGISTRY["funceq-remainder"].runner.__wrapped__
+    for n in (0, 1, 3):
+        compared = list(remainder_pairs(n=n, mode="series", order=order))
+        lhs, rhs = remainder_sides_term_by_term(n, order)
+        pairs += [
+            (Series1([value for _, value, _ in compared], order), lhs),
+            (Series1([value for _, _, value in compared], order), rhs),
         ]
     for got, expected in pairs:
         assert got == expected and got.order == expected.order == order
