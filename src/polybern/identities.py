@@ -185,11 +185,48 @@ def egf_closed_form(n: int, order: int) -> Series2:
     return numerator * denominator_series(order).power(-(n + 1))
 
 
-def _rational(numerator: Series1, factors) -> Series1:
-    """numerator / prod(factors): the factors (at least one) are coefficient lists
-    of polynomials with nonzero constant term, and their product is inverted once."""
-    denominator = prod(Series1(factor, numerator.order) for factor in factors)
-    return numerator * denominator.inverse()
+def _rational(function, order: int) -> Series1:
+    """The expansion to the order of a rational function, stated as the pair
+    (numerator factors, denominator factors) of integer coefficient lists, lowest
+    degree first.  The denominator factors have nonzero constant term; their
+    product is inverted once, and not formed when the numerator is zero to order."""
+    numerators, denominators = function
+    numerator = prod(Series1(factor, order) for factor in numerators)
+    if not any(numerator.coeffs):
+        return numerator
+    return numerator * prod(Series1(factor, order) for factor in denominators).inverse()
+
+
+def _rational_at(function, x) -> Fraction:
+    """The exact value at x = p/q of the rational function that _rational expands:
+    each factor f of degree d = len(f) - 1 is the integer q^d f(p/q) over q^d, and
+    the one quotient of integers is reduced once.  DomainError at a pole."""
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    parts = [1, 1]  # the numerator and the denominator of the value
+    for side, factors in enumerate(function):
+        for f in factors:
+            d = len(f) - 1
+            parts[side] *= sum(c * p**k * q ** (d - k) for k, c in enumerate(f) if c)
+            parts[1 - side] *= q**d
+    top, bottom = parts
+    if bottom == 0:
+        raise DomainError(f"point {x} is a pole: a denominator factor vanishes there")
+    return Fraction(top, bottom)
+
+
+def _a(j: int):
+    """a_j(x) = (-1)^j j!(j+1)! x^{2j+2} / prod_{v=1..j+1}(1-vx)(1+vx)."""
+    lead = (-1) ** j * factorial(j) * factorial(j + 1)
+    return [[0] * (2 * j + 2) + [lead]], [[1, 0, -v * v] for v in range(1, j + 2)]
+
+
+_F1_INHOMOGENEITY = [[0, 0, 0, 6, -12, 4]], [[1, -1], [1, -1], [1, -2]]  # see f1_inhomogeneity
+
+
+def _remainder_prefactor(n: int):
+    """-(2x/(1-x)) * ((1+(n+2)x)/(1-(n+3)x)) * ((n+3)(x-1)^2-(n+2)(2x-1))."""
+    return [[0, -2], [1, n + 2], [2 * n + 5, -(4 * n + 10), n + 3]], [[1, -1], [1, -(n + 3)]]
 
 
 def q_series(j: int, order: int, route: str = "rational") -> Series1:
@@ -199,9 +236,7 @@ def q_series(j: int, order: int, route: str = "rational") -> Series1:
         return Series1([stirling_second(l + 1, j + 1) for l in range(order + 1)], order)
     if route != "rational":
         raise ParameterError(f"route must be 'rational' or 'stirling', got {route!r}")
-    if j > order:
-        return Series1.zero(order)
-    return _rational(Series1.monomial(1, j, order), ([1, -v] for v in range(1, j + 2)))
+    return _rational(([[0] * j + [1]], [[1, -v] for v in range(1, j + 2)]), order)
 
 
 def ogf_series(n: int, order: int) -> Series2:
@@ -264,16 +299,12 @@ def g1_series(order: int) -> Series1:
 
 def g1_inhomogeneity(order: int) -> Series1:
     """2x^3 (x - 2) / (1 - x)^2, which expands as -2 sum_{m>=2} m x^{m+1}."""
-    return _rational(Series1([0, 0, 0, -4, 2], order), [[1, -1]] * 2)
+    return _rational(([[0, 0, 0, -4, 2]], [[1, -1]] * 2), order)
 
 
 def f1_term(j: int, order: int) -> Series1:
     """a_j(x) = (-1)^j j!(j+1)! x^{2j+2} / prod_{v=1..j+1}(1-vx)(1+vx)."""
-    if 2 * j + 2 > order:
-        return Series1.zero(order)
-    lead = (-1) ** j * factorial(j) * factorial(j + 1)
-    numerator = Series1.monomial(lead, 2 * j + 2, order)
-    return _rational(numerator, ([1, 0, -v * v] for v in range(1, j + 2)))
+    return _rational(_a(j), order)
 
 
 def f1_series(order: int) -> Series1:
@@ -284,38 +315,20 @@ def f1_series(order: int) -> Series1:
 
 def f1_inhomogeneity(order: int) -> Series1:
     """2x^3 (3 - 6x + 2x^2) / ((1-x)^2 (1-2x))."""
-    return _rational(Series1([0, 0, 0, 6, -12, 4], order), [[1, -1], [1, -1], [1, -2]])
+    return _rational(_F1_INHOMOGENEITY, order)
 
 
 def f1_term_at(j: int, x) -> Fraction:
-    """a_j evaluated exactly at a rational point; domain-checked."""
-    x = Fraction(x)
-    value = Fraction((-1) ** j * factorial(j) * factorial(j + 1)) * x ** (2 * j + 2)
-    for v in range(1, j + 2):
-        lower, upper = 1 - v * x, 1 + v * x
-        if lower == 0:
-            raise DomainError(f"sample point {x} is a pole of factor {_factor_name(v, '-')}")
-        if upper == 0:
-            raise DomainError(f"sample point {x} is a pole of factor {_factor_name(v, '+')}")
-        value /= lower * upper
-    return value
-
-
-def _factor_name(v: int, sign: str) -> str:
-    return f"1{sign}x" if v == 1 else f"1{sign}{v}x"
+    """a_j evaluated exactly at a rational point; DomainError at a pole."""
+    return _rational_at(_a(j), x)
 
 
 def _guard_sample_point(x: Fraction, n: int) -> None:
-    """Reject the poles {±1/v : v <= n+3} ∪ {1/2, 1} of the remainder identity."""
-    if x == 1:
-        raise DomainError(f"sample point {x} is a pole of factor 1-x")
-    if x == Fraction(1, 2):
-        raise DomainError(f"sample point {x} is a pole of factor 1-2x")
-    if abs(x.numerator) == 1 and x.denominator <= n + 3:
-        sign = "-" if x > 0 else "+"
-        raise DomainError(
-            f"sample point {x} is a pole of factor {_factor_name(x.denominator, sign)}"
-        )
+    """Reject the poles {1/v : v <= n+3} ∪ {-1/v : v <= n+2} of the remainder identity."""
+    v = x.denominator
+    if abs(x.numerator) == 1 and v <= (n + 2 if x < 0 else n + 3):
+        factor = f"1{'+' if x < 0 else '-'}{v if v > 1 else ''}x"
+        raise DomainError(f"sample point {x} is a pole of factor {factor}")
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +498,6 @@ def verify_f2_funceq(order: int = 30) -> Iterator[CheckPair]:
 _DEFAULT_SAMPLE_POINTS = (Fraction(1, 100), Fraction(1, 97), Fraction(-1, 101))
 
 
-def _remainder_prefactor_poly(n: int) -> tuple[int, int, int]:
-    # (n+3)(x-1)^2 - (n+2)(2x-1) expanded: constant, linear, quadratic.
-    return (2 * n + 5, -(4 * n + 10), n + 3)
-
-
 def _sample_point(point) -> Fraction:
     """A sample point given exactly: an int, a Fraction or a rational string."""
     if isinstance(point, (int, Fraction, str)) and not isinstance(point, bool):
@@ -529,25 +537,10 @@ def _remainder_arguments(given, n: int, mode: str, order: int, points) -> dict:
     return {"n": n, "mode": mode, "points": [format_rational(x) for x in sample_points]}
 
 
-def _remainder_sides_at(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
-    """Both sides of the remainder identity evaluated exactly at x."""
-    c0, c1, c2 = _remainder_prefactor_poly(n)
-    shifted = x / (1 - 2 * x)
-    lhs = sum(f1_term_at(j, shifted) - (1 - 2 * x) * f1_term_at(j, x) for j in range(n + 1))
-    lhs -= 2 * x**3 * (3 - 6 * x + 2 * x**2) / ((1 - x) ** 2 * (1 - 2 * x))
-    rhs = (
-        Fraction(-2 * x, 1 - x)
-        * Fraction(1 + (n + 2) * x, 1 - (n + 3) * x)
-        * (c0 + c1 * x + c2 * x**2)
-        * f1_term_at(n + 1, x)
-    )
-    return lhs, rhs
-
-
 @_verifier("funceq-remainder", check=_remainder_arguments, n=0, order=1)
 def verify_funceq_remainder(
     n: int = 4, mode: str = "series", order: int = 30, points=None
-) -> Iterable[CheckPair]:
+) -> Iterator[CheckPair]:
     """Exact remainder after n+1 terms of the f1 functional equation:
 
     sum_{j<=n}(a_j(x/(1-2x)) - (1-2x)a_j(x)) - 2x^3(3-6x+2x^2)/((1-x)^2(1-2x))
@@ -562,11 +555,14 @@ def verify_funceq_remainder(
     if mode == "series":
         partial_sum = _combination([f1_term(j, order) for j in range(n + 1)], [1] * (n + 1))
         lhs = partial_sum.mobius_substitution(2) - (1 - 2 * Series1.variable(order)) * partial_sum
-        numerator = Series1([0, -2], order) * Series1([1, n + 2], order) * f1_term(n + 1, order)
-        numerator *= Series1(_remainder_prefactor_poly(n), order)
-        rhs = _rational(numerator, [[1, -1], [1, -(n + 3)]])
-        return _coefficient_pairs(lhs - f1_inhomogeneity(order), rhs)
-    return (((("x", x),), *_remainder_sides_at(n, x)) for x in map(Fraction, points))
+        rhs = _rational(_remainder_prefactor(n), order) * f1_term(n + 1, order)
+        yield from _coefficient_pairs(lhs - f1_inhomogeneity(order), rhs)
+        return
+    for x in map(Fraction, points):
+        shifted = x / (1 - 2 * x)
+        lhs = sum(f1_term_at(j, shifted) - (1 - 2 * x) * f1_term_at(j, x) for j in range(n + 1))
+        rhs = _rational_at(_remainder_prefactor(n), x) * f1_term_at(n + 1, x)
+        yield (("x", x),), lhs - _rational_at(_F1_INHOMOGENEITY, x), rhs
 
 
 @_verifier("uniqueness-recursion", max_m=2)

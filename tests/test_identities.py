@@ -217,6 +217,9 @@ def test_remainder_sample_mode_custom_points():
     assert report.passed and report.checked_count == 3
     mixed = verify_one("funceq-remainder", n=2, mode="sample", points=("1/50", 2))
     assert mixed.passed and mixed.parameters["points"] == ["1/50", "2"]
+    # -1/(n+3) is no pole: 1-(n+3)x vanishes at +1/(n+3) only
+    near_poles = verify_one("funceq-remainder", n=4, mode="sample", points=("-1/7", "1/8"))
+    assert near_poles.passed and near_poles.checked_count == 2
 
 
 @pytest.mark.parametrize(
@@ -227,11 +230,58 @@ def test_remainder_sample_mode_custom_points():
         (Fraction(-1, 3), "1+3x"),
         (Fraction(1, 7), "1-7x"),
         (Fraction(-1), "1+x"),
+        (Fraction(-1, 6), "1+6x"),
     ],
 )
 def test_remainder_sample_mode_rejects_poles(x, factor):
-    with pytest.raises(DomainError, match=re.escape(factor)):
+    message = f"^sample point {re.escape(str(x))} is a pole of factor {re.escape(factor)}$"
+    with pytest.raises(DomainError, match=message):
         verify_one("funceq-remainder", n=4, mode="sample", points=(x,))
+
+
+def test_remainder_guard_rejects_exactly_the_poles_of_the_identity():
+    unguarded = REGISTRY["funceq-remainder"].runner.__wrapped__  # the guard is in bind
+    for n in range(9):
+        for v in range(1, 16):
+            for x in (Fraction(1, v), Fraction(-1, v)):
+                try:
+                    list(unguarded(n=n, mode="sample", points=[x]))
+                    pole = False
+                except (DomainError, ZeroDivisionError):
+                    pole = True
+                try:
+                    idn._guard_sample_point(x, n)
+                    message = None
+                except DomainError as error:
+                    message = str(error)
+                assert (message is not None) == pole, (n, x)
+                if pole:  # the message names a factor that vanishes at x
+                    factor = f"1{'+' if x < 0 else '-'}{v if v > 1 else ''}x"
+                    assert message == f"sample point {x} is a pole of factor {factor}"
+
+
+def f1_term_at_by_loop(j, x):
+    """a_j(x) evaluated factor by factor, as f1_term_at was written on its own."""
+    x = Fraction(x)
+    value = Fraction((-1) ** j * factorial(j) * factorial(j + 1)) * x ** (2 * j + 2)
+    for v in range(1, j + 2):
+        lower, upper = 1 - v * x, 1 + v * x
+        if lower == 0 or upper == 0:
+            raise DomainError(f"sample point {x} is a pole of a_{j}")
+        value /= lower * upper
+    return value
+
+
+def test_f1_term_at_matches_its_loop_and_raises_domain_error_at_poles():
+    points = (0, 2, Fraction(1, 100), Fraction(-3, 7), Fraction(5, 2), "-1/101", "9/8")
+    for j in range(7):
+        for x in points:
+            got, expected = idn.f1_term_at(j, x), f1_term_at_by_loop(j, x)
+            assert got == expected and type(got) is type(expected) is Fraction
+        for v in range(1, j + 2):
+            for x in (Fraction(1, v), Fraction(-1, v)):
+                with pytest.raises(DomainError):  # never ZeroDivisionError
+                    idn.f1_term_at(j, x)
 
 
 @given(st.integers(-12, 12), st.integers(1, 12), st.integers(0, 6))
