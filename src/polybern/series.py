@@ -13,6 +13,9 @@ inverses run on integer numerators over one common denominator per operand
 and reduce each output coefficient once, not once per term; Series2.inverse
 also reduces each row of its recurrence once, by the gcd of the row.  Every
 linear combination sum(c * term) is one integer sum per row (_combination).
+These integer kernels give an int exactly where the value is an integer;
+the element-wise operations (+, -, negation, scalar *, derivative),
+Series1.inverse and Series1.exp keep Python's own arithmetic types.
 """
 
 from __future__ import annotations
@@ -89,37 +92,25 @@ def _int_rows(rows, n):
 
 
 def _over(ints, den) -> list:
-    """The reduced numbers ints[i] / den (ints themselves when den is 1)."""
+    """The numbers ints[i] / den, each an int exactly when its value is one."""
     if den == 1:
         return ints
-    return [Fraction(v, den) if v else 0 for v in ints]
+    return [Fraction(v, den) if v % den else v // den for v in ints]
 
 
 def _linear_sum(rows, scalars, order) -> "Series1":
-    """sum(c * row) over coefficient rows cut to order and int or Fraction scalars c.
-
-    One integer sum over the common denominator of the rows with a nonzero
-    scalar.  A coefficient is a Fraction where the term-by-term sum gives
-    one: where a row, zero scalars included, has a Fraction, or everywhere
-    when a scalar is a Fraction.  Every other coefficient is an int.
-    """
+    """sum(c * row) over coefficient rows cut to order and int or Fraction scalars c,
+    one integer sum over the common denominator of the rows with a nonzero c."""
     width = order + 1
-    rows = [row[:width] for row in rows]
-    parts = [(row, *_numerators(row), c) for row, c in zip(rows, scalars, strict=True)]
-    den = lcm(*(d * c.denominator for _, _, d, c in parts if c))
+    parts = [(*_numerators(row[:width]), c) for row, c in zip(rows, scalars, strict=True) if c]
+    den = lcm(*(d * c.denominator for _, d, c in parts))
     out = [0] * width
-    fraction = [False] * width
-    for row, ints, d, c in parts:
-        if type(c) is not int:
-            fraction = [True] * width
-        elif ints is not row:  # _numerators returns an all-int row as it is
-            fraction = [f or type(v) is not int for f, v in zip(fraction, row)]
-        if c:
-            scale = c.numerator * (den // (d * c.denominator))
-            for j, v in enumerate(ints):
-                if v:
-                    out[j] += v * scale
-    return Series1([Fraction(v, den) if f else v // den for v, f in zip(out, fraction)], order)
+    for ints, d, c in parts:
+        scale = c.numerator * (den // (d * c.denominator))
+        for j, v in enumerate(ints):
+            if v:
+                out[j] += v * scale
+    return Series1(_over(out, den), order)
 
 
 def _combination(terms, scalars):
@@ -468,11 +459,10 @@ class Series2:
         denominators of f_0..f_(m-1).
         """
         n = self.order
-        first = self.rows[0].inverse()
         a, den = _int_rows(self.rows, n)
-        f0, d0 = _numerators(first.coeffs)
+        f0, d0 = _numerators(self.rows[0].inverse().coeffs)
         nums, dens, common = [f0], [d0], d0
-        rows = [first]
+        rows = [Series1(_over(f0, d0), n)]
         for m in range(1, n + 1):
             width = n - m + 1
             acc = [0] * width
@@ -525,9 +515,9 @@ def polylog_over_argument(k: int, z):
     sum_{r<s} z**r / (b*s+r+1)**k, cut to order n - b*s; the blocks are
     combined by Horner in z**s, each partial sum padded with zeros to the
     next block's order (exact, as z**s has zero constant term).  That is
-    about 2*sqrt(n) series products instead of n.  Each block is one
-    _combination at the shrinking block order.  Both series constructors cut
-    or zero-pad a coefficient list to the order given.
+    about 2*sqrt(n) series products instead of n.  Each giant step, the
+    block's terms plus the partial sum times z**s, is one _combination.  Both
+    series constructors cut or zero-pad a coefficient list to the order given.
     """
     if z.constant_term != 0:
         raise DomainError("polylog substitution needs a zero constant term")
@@ -540,12 +530,12 @@ def polylog_over_argument(k: int, z):
     for start in reversed(range(0, n + 1, s)):
         order = n - start
         width = min(s, order + 1)
+        terms = [powers[r].truncate(order) for r in range(width)]
         scalars = [Fraction(start + r + 1) ** (-k) for r in range(width)]
-        block = _combination([powers[r].truncate(order) for r in range(width)], scalars)
-        if acc is None:
-            acc = block
-        else:
-            acc = cls(acc.coeffs, order) * cls(powers[s].coeffs, order) + block
+        if acc is not None:
+            terms.append(cls(acc.coeffs, order) * cls(powers[s].coeffs, order))
+            scalars.append(1)
+        acc = _combination(terms, scalars)
     return acc
 
 

@@ -31,6 +31,7 @@ from polybern.polybernoulli import bernoulli, genocchi, poly_bernoulli_B
 from polybern.series import DomainError, Series1, Series2, product_xy
 
 from faults import run_mutated
+from value_types import coefficient_types
 
 # Moderate bounds keep the clean+mutated double pass quick.
 SMALL = {
@@ -430,11 +431,6 @@ def remainder_sides_term_by_term(n, order):
         * idn.f1_term(n + 1, order)
     )
     return lhs, rhs
-
-
-def coefficient_types(s):
-    rows = s.coeffs if isinstance(s, Series2) else (s.coeffs,)
-    return [[type(c) for c in row] for row in rows]
 
 
 @pytest.mark.parametrize("order", (5, 9))

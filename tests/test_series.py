@@ -18,6 +18,8 @@ from polybern.series import (
     product_xy,
 )
 
+from value_types import assert_value_typed
+
 ORDER = 8
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -350,20 +352,20 @@ def test_inverse_2d_matches_row_recurrence(build):
         s = build(order)
         got, expected = s.inverse(), inverse_by_row_recurrence(s)
         assert got == expected and got.order == order, order
-        assert coefficient_types(got) == coefficient_types(expected), order
+        assert_value_typed(got)
     for s in (build(6) - build(6).constant_term, build(0) - build(0).constant_term):
         with pytest.raises(DomainError):
             s.inverse()
 
 
 def test_inverse_2d_gives_an_integral_row_as_ints():
-    # Row 1 of the inverse is the integer 3.  The row recurrence types each
-    # coefficient by the denominators of its factors and gives Fraction(3, 1);
-    # the kernel reduces the row once and gives the int.
+    # Row 1 of the inverse is the integer 3, from factors with denominators.
+    # The kernel reduces the row once, the row recurrence forms it by a
+    # Series1 product; both give the int.
     s = Series2([[Fraction(-1, 2), Fraction(-7, 5)], [Fraction(-3, 4)]], 1)
     got, expected = s.inverse(), inverse_by_row_recurrence(s)
     assert got == expected and got[1, 0] == 3
-    assert type(got[1, 0]) is int and type(expected[1, 0]) is Fraction
+    assert type(got[1, 0]) is int and type(expected[1, 0]) is int
 
 
 @pytest.mark.parametrize("e", range(1, 5))
@@ -496,12 +498,10 @@ def compose_by_full_order_horner(f, inner):
 def assert_same_as_full_order_horner(f, inner):
     got, expected = f.compose(inner), compose_by_full_order_horner(f, inner)
     assert got == expected and got.order == expected.order
-    # A product's coefficients are Fractions unless both operands are all
-    # integral.  The full-order partial sums carry coefficients beyond the
-    # order that matters, so an integral value there may be Fraction(v, 1)
-    # where the shrinking-order Horner gives the int v; never the reverse.
+    # Both add each scalar a_k to a product, whose coefficients are typed by
+    # value, so equal values have equal types whatever the partial-sum orders.
     for a, b in zip(got.coeffs, expected.coeffs):
-        assert type(a) is type(b) or (type(a) is int and b.denominator == 1), (a, b)
+        assert type(a) is type(b), (a, b)
 
 
 # The fixed examples have every coefficient nonzero, so a broken compose
@@ -591,11 +591,6 @@ def polylog_over_argument_by_direct_sum(k, z):
     return acc
 
 
-def coefficient_types(s):
-    rows = s.coeffs if isinstance(s, Series2) else (s.coeffs,)
-    return [[type(c) for c in row] for row in rows]
-
-
 @pytest.mark.parametrize("k", range(-3, 4))
 def test_polylog_over_argument_matches_direct_sum(k):
     # Orders 0..15 give every remainder of the n+1 terms by the block size.
@@ -605,11 +600,12 @@ def test_polylog_over_argument_matches_direct_sum(k):
         for z in (1 - (-t).exp(), mixed):
             got, expected = polylog_over_argument(k, z), polylog_over_argument_by_direct_sum(k, z)
             assert got == expected and got.order == order, (k, order)
-            assert coefficient_types(got) == coefficient_types(expected), (k, order)
+            assert_value_typed(got)
     x, y = coordinate(0, 7), coordinate(1, 7)
     w = x + 2 * y + x * y * Fraction(1, 3) - y * y
     got, expected = polylog_over_argument(k, w), polylog_over_argument_by_direct_sum(k, w)
-    assert got == expected and coefficient_types(got) == coefficient_types(expected)
+    assert got == expected
+    assert_value_typed(got)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +624,7 @@ def combination_by_terms(terms, scalars):
 
 def assert_same_series(got, expected):
     assert got == expected and got.order == expected.order
-    assert coefficient_types(got) == coefficient_types(expected)
+    assert_value_typed(got)
 
 
 # Zero, Fraction(v, 1) and proper-fraction scalars next to plain ints.
@@ -652,20 +648,26 @@ def test_combination_2d_matches_term_by_term_sum(pairs):
 @pytest.mark.parametrize(
     "terms,scalars,types",
     [
-        # a zero scalar on a Fraction term still makes that coefficient a Fraction
-        ([Series1([1, Fraction(1, 2)], 1), Series1([2, 3], 1)], [0, 1], [int, Fraction]),
-        # a Fraction(v, 1) scalar makes every coefficient a Fraction
-        ([Series1([1, 2], 1), Series1([0, 1], 3)], [Fraction(3), 2], [Fraction, Fraction]),
-        # rows mixing int 0 with Fractions keep each coefficient's type
+        # a term with a zero scalar is not read, so its Fraction leaves no trace
+        ([Series1([1, Fraction(1, 2)], 1), Series1([2, 3], 1)], [0, 1], [int, int]),
+        # a Fraction(v, 1) scalar gives ints where the values are integers
+        ([Series1([1, 2], 1), Series1([0, 1], 3)], [Fraction(3), 2], [int, int]),
+        # Fraction terms whose halves and thirds cancel give ints
         (
             [Series1([0, Fraction(1, 2), 0, 3], 3), Series1([1, 0, Fraction(2, 3), 0], 4)],
             [2, 3],
-            [int, Fraction, Fraction, int],
+            [int, int, int, int],
         ),
         (
             [Series1([Fraction(1, 2), 0], 1), Series1([Fraction(1, 2), 1], 1)],
             [2, -2],
-            [Fraction, int],
+            [int, int],
+        ),
+        # a value that is not an integer stays a Fraction next to an integral one
+        (
+            [Series1([Fraction(1, 2), Fraction(1, 3)], 1), Series1([Fraction(1, 2), 0], 1)],
+            [1, 1],
+            [int, Fraction],
         ),
     ],
 )
@@ -732,3 +734,45 @@ def test_embed_round_trip():
         assert e0[i, 0] == s[i]
         if i:
             assert e0[0, i] == 0
+
+
+# ---------------------------------------------------------------------------
+# coefficient types: an integer kernel gives an int exactly for an integral value
+
+# Each fixed example has integral values over operands with denominators, where
+# typing by the common denominator would give Fraction(v, 1).
+
+
+@given(series1_any_order(), series1_any_order(), scalar)
+@example(Series1([Fraction(1, 2)] * 2, 1), Series1([2, 2], 1), Fraction(2))
+@settings(max_examples=40, deadline=None)
+def test_series1_kernels_are_value_typed(a, b, c):
+    assert_value_typed(a * b)
+    assert_value_typed(product_xy(a, b))
+    assert_value_typed(_combination([a, b], [c, 1]))
+    assert_value_typed(_combination_xy([a, b], [b, a], [1, c]))
+
+
+@given(series2_any_order(kernel_coeff), unit2)
+@example(
+    Series2([[Fraction(1, 2), Fraction(1, 2)], [Fraction(3, 2)]], 1),
+    Series2([[2, 4], [6]], 1),
+)
+@example(
+    Series2([[2, 4], [2]], 1),
+    Series2([[Fraction(-1, 2), Fraction(-7, 5)], [Fraction(-3, 4)]], 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_series2_kernels_are_value_typed(a, u):
+    assert_value_typed(a * u)
+    assert_value_typed(u.inverse())
+    assert_value_typed(_combination([a, u], [2, 1]))
+
+
+@given(st.integers(-3, 3), st.one_of(series1_any_order(), series2_any_order(kernel_coeff)))
+@example(-1, Series1([0, Fraction(1, 2)], 1))
+@example(-1, Series1([0, Fraction(1, 2), Fraction(1, 4), 0], 3))
+@example(-2, Series2([[0, Fraction(1, 4)], [Fraction(1, 2)]], 1))
+@settings(max_examples=40, deadline=None)
+def test_polylog_over_argument_is_value_typed(k, z):
+    assert_value_typed(polylog_over_argument(k, z - z.constant_term))
