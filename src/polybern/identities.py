@@ -34,7 +34,7 @@ from .polybernoulli import (
     script_B_def,
 )
 from .series import DomainError, Series1, Series2, egf_coefficient, product_xy
-from .series import _combination, _combination_xy
+from .series import _combination, _combination_xy, _quotient
 
 
 class ParameterError(ValueError):
@@ -188,13 +188,16 @@ def egf_closed_form(n: int, order: int) -> Series2:
 def _rational(function, order: int) -> Series1:
     """The expansion to the order of a rational function, stated as the pair
     (numerator factors, denominator factors) of integer coefficient lists, lowest
-    degree first.  The denominator factors have nonzero constant term; their
-    product is inverted once, and not formed when the numerator is zero to order."""
+    degree first.  The denominator factors (nonzero constant term) are multiplied
+    each as the sparse left operand; a numerator nonzero to order is divided once."""
     numerators, denominators = function
     numerator = prod(Series1(factor, order) for factor in numerators)
     if not any(numerator.coeffs):
         return numerator
-    return numerator * prod(Series1(factor, order) for factor in denominators).inverse()
+    denominator = Series1.one(order)
+    for factor in denominators:
+        denominator = Series1(factor, order) * denominator
+    return Series1(_quotient(numerator.coeffs, denominator.coeffs, order), order)
 
 
 def _rational_at(function, x) -> Fraction:
@@ -374,7 +377,7 @@ def verify_egf(n: int = 4, order: int = 14) -> Iterator[CheckPair]:
 def verify_ogf(n: int = 4, order: int = 14) -> Iterator[CheckPair]:
     """Ordinary coefficients of sum_j j!(j+n)! Q_j(x)Q_j(y) vs script_B_closed.
 
-    Also pins the two Q_j expansion routes (rational-factor inverses vs the
+    Also pins the two Q_j expansion routes (division by the factor product vs the
     Stirling-coefficient identity) against each other, coefficient by
     coefficient, before using the rational route in the double sum.
     """

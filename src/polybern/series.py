@@ -9,13 +9,13 @@ inverse is the Series1 operation on its rows.
 
 Every operation returns a fresh series (pure value semantics).  Binary
 operations truncate the result to the smaller operand order.  Products and
-inverses run on integer numerators over one common denominator per operand
-and reduce each output coefficient once, not once per term; Series2.inverse
-also reduces each row of its recurrence once, by the gcd of the row.  Every
-linear combination sum(c * term) is one integer sum per row (_combination).
-These integer kernels give an int exactly where the value is an integer;
-the element-wise operations (+, -, negation, scalar *, derivative),
-Series1.inverse and Series1.exp keep Python's own arithmetic types.
+Series2.inverse run on integer numerators over one common denominator per
+operand and reduce each output coefficient once, not once per term (each row
+of Series2.inverse by its gcd); Series1.inverse is one power-series division
+(_quotient).  Every linear combination sum(c * term) is one integer sum per
+row (_combination).  These kernels give an int exactly where the value is an
+integer; the element-wise operations (+, -, negation, scalar *, derivative)
+and Series1.exp keep Python's own arithmetic types.
 """
 
 from __future__ import annotations
@@ -37,18 +37,21 @@ def _as_scalar(value):
     return NotImplemented
 
 
-def _inverse_terms(a, inv0, n) -> list:
-    """Coefficients e_0..e_n of 1/a for the Series1 coefficients a, inv0 = 1/a_0.
+def _quotient(num, den, n) -> list:
+    """Coefficients e_0..e_n of num/den, for coefficient sequences with den_0 != 0.
 
-    e_m = -inv0 * sum_{k=1..m} a_k e_{m-k}, zero a_k skipped.
+    e_m = (num_m - sum_{k=1..m} den_k e_(m-k)) / den_0 over the nonzero den_k:
+    power-series division (Knuth, TAOCP vol. 2, 4.7), each e_m an int exactly
+    when its value is one.
     """
-    e = [inv0]
-    for m in range(1, n + 1):
-        acc = 0
-        for k in range(1, m + 1):
-            if a[k]:
-                acc += a[k] * e[m - k]
-        e.append(-inv0 * acc)
+    taps = [(k, d) for k, d in enumerate(den[1 : n + 1], 1) if d]
+    e = []
+    for m, acc in enumerate(Series1(num, n).coeffs):  # num cut or zero-padded to n
+        for k, d in taps:
+            if k > m:
+                break
+            acc -= d * e[m - k]
+        e.append(Fraction(acc, den[0]) if acc % den[0] else acc // den[0])
     return e
 
 
@@ -304,8 +307,7 @@ class Series1:
         if self.coeffs[0] == 0:
             raise DomainError("cannot invert a series with zero constant term")
         b, den = _numerators(self.coeffs)  # self = b / den, so 1/self = den / b
-        inv0 = b[0] if b[0] in (1, -1) else Fraction(1, b[0])
-        return Series1([e * den for e in _inverse_terms(b, inv0, self.order)], self.order)
+        return Series1(_quotient((den,), b, self.order), self.order)
 
     def exp(self) -> "Series1":
         """exp(self) via the recurrence f' = a'*f; needs zero constant term."""
@@ -343,12 +345,7 @@ class Series1:
 
     def mobius_substitution(self, c) -> "Series1":
         """Substitute x -> x/(1 - c*x), i.e. compose with sum_{j>=1} c^(j-1) x^j."""
-        coeffs = [0] * (self.order + 1)
-        power = 1
-        for j in range(1, self.order + 1):
-            coeffs[j] = power
-            power *= c
-        return self.compose(Series1(coeffs, self.order))
+        return self.compose(Series1(_quotient((0, 1), (1, -c), self.order), self.order))
 
 
 class Series2:

@@ -433,7 +433,7 @@ def remainder_sides_term_by_term(n, order):
     return lhs, rhs
 
 
-@pytest.mark.parametrize("order", (5, 9))
+@pytest.mark.parametrize("order", (5, 9, 40))
 def test_builders_match_their_term_by_term_sums(order):
     pairs = [(idn.f1_series(order), f1_series_by_loop(order))]
     for n in (0, 1, 3):

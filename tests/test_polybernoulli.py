@@ -38,6 +38,8 @@ from polybern.polybernoulli import (
 )
 from polybern.series import Series1, egf_coefficient
 
+from value_types import assert_value_typed
+
 BERNOULLI_ORACLE = [
     Fraction(1),
     Fraction(-1, 2),
@@ -152,6 +154,7 @@ def egf_genocchi(order: int) -> Series1:
 def test_classical_egfs_extract_back():
     eb = egf_bernoulli(12)
     eg = egf_genocchi(12)
+    assert_value_typed(eb)  # 1 and the zero odd-index values are ints
     for n in range(13):
         assert egf_coefficient(eb, n) == bernoulli(n)
         assert egf_coefficient(eg, n) == genocchi(n)

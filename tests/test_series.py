@@ -13,6 +13,7 @@ from polybern.series import (
     Series2,
     _combination,
     _combination_xy,
+    _quotient,
     egf_coefficient,
     polylog_over_argument,
     product_xy,
@@ -303,6 +304,28 @@ def test_inverse_is_two_sided(a):
     inv = a.inverse()
     assert a * inv == Series1.one(ORDER)
     assert inv * a == Series1.one(ORDER)
+
+
+# Power-series division, checked by multiplying back: the oracle divides nothing.
+
+sparse_coeff = st.one_of(st.just(0), kernel_coeff)
+
+
+@given(
+    st.lists(kernel_coeff, min_size=1, max_size=ORDER + 3),
+    st.sampled_from((1, -1, 3, -4, Fraction(2, 3), Fraction(-5, 2))),
+    st.lists(sparse_coeff, max_size=ORDER + 3),
+    st.integers(0, ORDER),
+)
+@example([1], 3, [0, 0, 0, 0, 0, -2], ORDER)  # numerator shorter than a sparse denominator
+@example([5, 0, 0, 0, 0, 0, 0, 1], -4, [0, 1], 5)  # numerator longer, cut to the order
+@example([Fraction(1, 2), 3], Fraction(2, 3), [0, Fraction(-7, 3), 0, 1], ORDER)
+@settings(max_examples=60, deadline=None)
+def test_quotient_times_denominator_is_the_numerator(num, lead, tail, n):
+    den = [lead, *tail]
+    got = Series1(_quotient(num, den, n), n)
+    assert got * Series1(den, n) == Series1(num, n)
+    assert_value_typed(got)
 
 
 @given(unit2)
@@ -745,9 +768,12 @@ def test_embed_round_trip():
 
 @given(series1_any_order(), series1_any_order(), scalar)
 @example(Series1([Fraction(1, 2)] * 2, 1), Series1([2, 2], 1), Fraction(2))
+@example(Series1([2, 4]), Series1([1]), 1)  # the inverse is (Fraction(1, 2), -1)
 @settings(max_examples=40, deadline=None)
 def test_series1_kernels_are_value_typed(a, b, c):
     assert_value_typed(a * b)
+    if a.constant_term:
+        assert_value_typed(a.inverse())
     assert_value_typed(product_xy(a, b))
     assert_value_typed(_combination([a, b], [c, 1]))
     assert_value_typed(_combination_xy([a, b], [b, a], [1, c]))
