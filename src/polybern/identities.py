@@ -166,21 +166,16 @@ def _require_index(name: str, value, minimum: int = 0) -> None:
 
 
 @cache
-def _exp_t(order: int) -> Series1:
-    return Series1.variable(order).exp()
-
-
-@cache
 def denominator_series(order: int) -> Series2:
     """e^x + e^y - e^{x+y} as a bivariate series (constant term 1)."""
-    ex = _exp_t(order)
+    ex = Series1.exponential(1, order)
     return Series2.embed(ex, 0) + Series2.embed(ex, 1) - product_xy(ex, ex)
 
 
 @cache
 def egf_closed_form(n: int, order: int) -> Series2:
     """n! * e^{x+y} / (e^x + e^y - e^{x+y})^{n+1}, truncated at total degree."""
-    ex = _exp_t(order)
+    ex = Series1.exponential(1, order)
     numerator = product_xy(ex, ex) * factorial(n)
     return numerator * denominator_series(order).power(-(n + 1))
 
@@ -194,9 +189,10 @@ def _rational(function, order: int) -> Series1:
     numerator = prod(Series1(factor, order) for factor in numerators)
     if not any(numerator.coeffs):
         return numerator
-    denominator = Series1.one(order)
-    for factor in denominators:
-        denominator = Series1(factor, order) * denominator
+    denominator = Series1.one(0)
+    for factor in denominators:  # each product cut to the degree reached
+        n = min(denominator.order + len(factor) - 1, order)
+        denominator = Series1(factor, n) * Series1(denominator.coeffs, n)
     return Series1(_quotient(numerator.coeffs, denominator.coeffs, order), order)
 
 
@@ -251,8 +247,8 @@ def ogf_series(n: int, order: int) -> Series2:
 @cache
 def kernel_series(order: int) -> Series2:
     """e^u / (1 - e^u (1 - e^t)) in variables (u, t); the denominator is a unit."""
-    eu = Series2.embed(_exp_t(order), 0)
-    et = Series2.embed(_exp_t(order), 1)
+    eu = Series2.embed(Series1.exponential(1, order), 0)
+    et = Series2.embed(Series1.exponential(1, order), 1)
     return eu * (1 - eu * (1 - et)).inverse()
 
 
@@ -262,7 +258,7 @@ def kernel_family(n: int, order: int) -> Series2:
     for _ in range(n):
         derivs.append(derivs[-1].derivative(0))
     acc = _combination(derivs, [stirling_first(n, j) for j in range(n + 1)])
-    exp_nt = Series2.embed((Series1.variable(order) * n).exp(), 1)
+    exp_nt = Series2.embed(Series1.exponential(n, order), 1)
     return exp_nt * acc
 
 
@@ -272,22 +268,20 @@ def kernel_family_closed(n: int, order: int) -> Series2:
     The m-th term has u-valuation m-1, so the sum truncates exactly at
     m = order + 1 for a total-degree-``order`` comparison.
     """
-    e_neg = (-Series1.variable(order)).exp()
-    one_minus = 1 - e_neg
-    u_pows = [Series1.one(order)]  # (1-e^{-u})^{m-1} and e^{-mt} for m = 1..order+1
-    t_pows = [e_neg]
+    one_minus = 1 - Series1.exponential(-1, order)
+    u_pows = [Series1.one(order)]  # (1-e^{-u})^{m-1} for m = 1..order+1, one product each
     for _ in range(order):
         u_pows.append(u_pows[-1] * one_minus)
-        t_pows.append(t_pows[-1] * e_neg)
+    t_pows = [Series1.exponential(-m, order) for m in range(1, order + 2)]  # e^{-mt}
     acc = _combination_xy(u_pows, t_pows, [rising_factorial(m, n) for m in range(1, order + 2)])
-    exp_neg_nu = Series2.embed((Series1.variable(order) * (-n)).exp(), 0)
+    exp_neg_nu = Series2.embed(Series1.exponential(-n, order), 0)
     return exp_neg_nu * acc
 
 
 def _exp_shift_power(a: int, r: int, order: int) -> Series1:
     """e^{at} (e^t - 1)^r / r! as a univariate series in t."""
-    t = Series1.variable(order)
-    return (t * a).exp() * (_exp_t(order) - 1).power(r) * Fraction(1, factorial(r))
+    expm1 = Series1.exponential(1, order) - 1
+    return Series1.exponential(a, order) * expm1.power(r) * Fraction(1, factorial(r))
 
 
 def beta1_series(order: int) -> Series1:
@@ -397,7 +391,7 @@ def verify_trivariate(order: int = 6) -> Iterator[CheckPair]:
     """z-expansion of e^{x+y}/(e^x+e^y-e^{x+y}-z): the coefficient of z^n is
     e^{x+y} D^{-(n+1)}, i.e. the bivariate closed form divided by n!."""
     inverse_d = denominator_series(order).inverse()
-    ex = _exp_t(order)
+    ex = Series1.exponential(1, order)
     geometric = product_xy(ex, ex) * inverse_d
     for n in range(order + 1):
         target = egf_closed_form(n, order) * Fraction(1, factorial(n))

@@ -232,14 +232,11 @@ def script_B_closed(m: int, l: int, n: int) -> int:
 # Generating-function routes (truncated exact power series in t).
 
 
-def _one_minus_exp_neg(order: int) -> Series1:
-    t = Series1.variable(order)
-    return 1 - (-t).exp()
-
-
 def egf_poly_bernoulli_B(k: int, order: int) -> Series1:
     """EGF of the B-type numbers: Li_k(1 - e^-t) / (1 - e^-t), truncated."""
-    return polylog_over_argument(k, _one_minus_exp_neg(order))
+    if not isinstance(k, int):
+        raise TypeError(f"order must be an int, got {k!r}")
+    return polylog_over_argument(k, 1 - Series1.exponential(-1, order))
 
 
 def egf_poly_bernoulli_C(k: int, order: int) -> Series1:
@@ -247,22 +244,19 @@ def egf_poly_bernoulli_C(k: int, order: int) -> Series1:
 
     Uses e^t - 1 = (1 - e^-t) * e^t, so this is the B-type EGF times e^-t.
     """
-    t = Series1.variable(order)
-    return egf_poly_bernoulli_B(k, order) * (-t).exp()
+    return egf_poly_bernoulli_B(k, order) * Series1.exponential(-1, order)
 
 
 def egf_poly_bernoulli_polynomial(k: int, x, order: int) -> Series1:
-    """EGF of the poly-Bernoulli polynomials at a fixed rational argument x."""
-    t = Series1.variable(order)
-    return (t * (-Fraction(x))).exp() * egf_poly_bernoulli_B(k, order)
+    """EGF of the poly-Bernoulli polynomials at a fixed int, Fraction or rational-string x."""
+    if not isinstance(x, (int, Fraction, str)):
+        raise TypeError(f"argument must be int, Fraction or a rational string, got {x!r}")
+    return Series1.exponential(-Fraction(x), order) * egf_poly_bernoulli_B(k, order)
 
 
 def egf_bernoulli(order: int) -> Series1:
     """EGF t/(e^t - 1) of the Bernoulli numbers (second value -1/2)."""
-    expm1_over_t = Series1(
-        [Fraction(1, factorial(i + 1)) for i in range(order + 1)], order
-    )
-    return expm1_over_t.inverse()
+    return Series1(Series1.exponential(1, order + 1).coeffs[1:], order).inverse()
 
 
 __all__ = [

@@ -13,9 +13,9 @@ Series2.inverse run on integer numerators over one common denominator per
 operand and reduce each output coefficient once, not once per term (each row
 of Series2.inverse by its gcd); Series1.inverse is one power-series division
 (_quotient).  Every linear combination sum(c * term) is one integer sum per
-row (_combination).  These kernels give an int exactly where the value is an
-integer; the element-wise operations (+, -, negation, scalar *, derivative)
-and Series1.exp keep Python's own arithmetic types.
+row (_combination).  These kernels and Series1.exponential give an int exactly
+where the value is an integer; the element-wise operations (+, -, negation,
+scalar *, derivative) and exp, the general recurrence, keep Python's types.
 """
 
 from __future__ import annotations
@@ -245,6 +245,17 @@ class Series1:
         if exponent <= order:
             c[exponent] = coeff
         return cls(c, order)
+
+    @classmethod
+    def exponential(cls, c, order: int) -> "Series1":
+        """exp(c*x) from its coefficients c^m/m!, each an int exactly when its value is one."""
+        if not isinstance(c, _SCALARS):
+            raise TypeError(f"exponential needs an int or Fraction, got {c!r}")
+        term, coeffs = Fraction(1), [1]  # term = c^m/m!
+        for m in range(1, order + 1):
+            term = term * c / m
+            coeffs.append(term if term.denominator > 1 else term.numerator)
+        return cls(coeffs, order)
 
     @classmethod
     def variable(cls, order: int) -> "Series1":

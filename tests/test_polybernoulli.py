@@ -238,6 +238,30 @@ def test_polynomial_egf_against_coefficient_route():
                 assert egf_coefficient(series, n) == poly_bernoulli_polynomial(n, k)(x)
 
 
+@pytest.mark.parametrize(
+    "egf,args",
+    [
+        (egf_poly_bernoulli_B, (3,)),
+        (egf_poly_bernoulli_C, (3,)),
+        (egf_poly_bernoulli_polynomial, (Fraction(1, 2), 3)),
+    ],
+)
+def test_egf_builders_name_an_inexact_order(egf, args):
+    with pytest.raises(TypeError, match=r"^order must be an int, got 1\.0$"):
+        egf(1.0, *args)
+
+
+def test_polynomial_egf_takes_exact_arguments_only():
+    # A rational string, as the CLI passes it, is the exact number it names;
+    # a float is refused, as the polynomial itself refuses it.
+    assert egf_poly_bernoulli_polynomial(1, "-1/3", 6) == egf_poly_bernoulli_polynomial(
+        1, Fraction(-1, 3), 6
+    )
+    for x in (0.1, 0.5, None):
+        with pytest.raises(TypeError, match="^argument must be int, Fraction or a rational"):
+            egf_poly_bernoulli_polynomial(1, x, 3)
+
+
 def test_hand_computed_values():
     assert poly_bernoulli_B(1, 1) == Fraction(1, 2)
     assert poly_bernoulli_C(1, 1) == Fraction(-1, 2)

@@ -460,6 +460,20 @@ def test_exp_explicit():
     assert (x + y).exp() == product_xy(ex, ex)
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+@pytest.mark.parametrize("order", [0, 1, 5, 40, 256])
+def test_exponential_matches_the_exp_recurrence(c, order):
+    got = Series1.exponential(c, order)
+    assert got == (Series1.variable(order) * c).exp()
+    assert_value_typed(got)
+
+
+def test_exponential_explicit():
+    assert Series1.exponential(2, 3).coeffs == (1, 2, 2, Fraction(4, 3))
+    with pytest.raises(TypeError, match=r"^exponential needs an int or Fraction, got 0\.5$"):
+        Series1.exponential(0.5, 3)
+
+
 @given(series1, series1)
 @settings(max_examples=40, deadline=None)
 def test_derivative_is_leibniz(a, b):
