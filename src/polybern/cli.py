@@ -61,8 +61,6 @@ def _render(value) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, bool):
-        return value
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):

@@ -234,8 +234,6 @@ def script_B_closed(m: int, l: int, n: int) -> int:
 
 def egf_poly_bernoulli_B(k: int, order: int) -> Series1:
     """EGF of the B-type numbers: Li_k(1 - e^-t) / (1 - e^-t), truncated."""
-    if not isinstance(k, int):
-        raise TypeError(f"order must be an int, got {k!r}")
     return polylog_over_argument(k, 1 - Series1.exponential(-1, order))
 
 

@@ -13,9 +13,11 @@ Series2.inverse run on integer numerators over one common denominator per
 operand and reduce each output coefficient once, not once per term (each row
 of Series2.inverse by its gcd); Series1.inverse is one power-series division
 (_quotient).  Every linear combination sum(c * term) is one integer sum per
-row (_combination).  These kernels and Series1.exponential give an int exactly
-where the value is an integer; the element-wise operations (+, -, negation,
-scalar *, derivative) and exp, the general recurrence, keep Python's types.
+row (_combination).  exp and the polylog sum are one baby-step/giant-step
+evaluation of a scalar sequence at a series argument (_evaluate), whose
+giant steps are such combinations.  These kernels and Series1.exponential give
+an int exactly where the value is an integer; the element-wise operations
+(+, -, negation, scalar *, derivative) keep Python's types.
 """
 
 from __future__ import annotations
@@ -52,24 +54,6 @@ def _quotient(num, den, n) -> list:
                 break
             acc -= d * e[m - k]
         e.append(Fraction(acc, den[0]) if acc % den[0] else acc // den[0])
-    return e
-
-
-def _exp_terms(a, e0, n) -> list:
-    """Coefficients e_0..e_n of exp(a), where e0 = exp(a_0).
-
-    m * e_m = sum_{k=1..m} k * a_k * e_{m-k}, from exp(a)' = a' * exp(a).
-    The a_k are scalars for Series1 and the Series1 rows of a Series2, where
-    truncation to the smaller order leaves e_m the total-degree width of its
-    row.
-    """
-    e = [e0]
-    for m in range(1, n + 1):
-        acc = 0
-        for k in range(1, m + 1):
-            if a[k]:
-                acc += k * a[k] * e[m - k]
-        e.append(acc * Fraction(1, m))
     return e
 
 
@@ -156,6 +140,40 @@ def _convolve(out, a, b, n) -> None:
                     out[i + j] += x * y
 
 
+def _evaluate(coeffs, z):
+    """sum_{j<=n} coeffs[j] * z**j at z's order n, for Series1 or Series2 z
+    with zero constant term and int or Fraction coeffs.
+
+    Baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput.
+    2(1), 1973).  With s = isqrt(n+1), the baby steps are z**0..z**s; block
+    b is sum_{r<s} coeffs[b*s+r] * z**r, cut to order n - b*s; the blocks
+    are combined by Horner in z**s, each partial sum padded with zeros to
+    the next block's order (exact, as z**s has zero constant term).  That
+    is about 2*sqrt(n) series products instead of n.  Each giant step, the
+    block's terms plus the partial sum times z**s, is one _combination.
+    Both series constructors cut or zero-pad a coefficient list to the
+    order given.
+    """
+    if z.constant_term != 0:
+        raise DomainError("series evaluation needs an argument with zero constant term")
+    cls, n = type(z), z.order
+    s = isqrt(n + 1)
+    powers = [cls.one(n), z]
+    while len(powers) <= s:
+        powers.append(powers[-1] * z)
+    acc = None
+    for start in reversed(range(0, n + 1, s)):
+        order = n - start
+        width = min(s, order + 1)
+        terms = [powers[r].truncate(order) for r in range(width)]
+        scalars = [coeffs[start + r] for r in range(width)]
+        if acc is not None:
+            terms.append(cls(acc.coeffs, order) * cls(powers[s].coeffs, order))
+            scalars.append(1)
+        acc = _combination(terms, scalars)
+    return acc
+
+
 # Ring methods shared by Series1 and Series2.  Each class binds them into its
 # own namespace, so patching a method on one class leaves the other alone.
 
@@ -210,6 +228,11 @@ def _power(self, exponent: int):
         if e:
             base = base * base
     return result
+
+
+def _exp(self):
+    """exp(self) = sum_j self**j / j!; needs zero constant term."""
+    return _evaluate([Fraction(1, factorial(j)) for j in range(self.order + 1)], self)
 
 
 class Series1:
@@ -320,11 +343,7 @@ class Series1:
         b, den = _numerators(self.coeffs)  # self = b / den, so 1/self = den / b
         return Series1(_quotient((den,), b, self.order), self.order)
 
-    def exp(self) -> "Series1":
-        """exp(self) via the recurrence f' = a'*f; needs zero constant term."""
-        if self.coeffs[0] != 0:
-            raise DomainError("exp needs a zero constant term")
-        return Series1(_exp_terms(self.coeffs, Fraction(1), self.order), self.order)
+    exp = _exp
 
     def derivative(self) -> "Series1":
         """Formal derivative; the order drops by one (floored at zero)."""
@@ -490,9 +509,7 @@ class Series2:
             rows.append(Series1(_over(row, d), width - 1))
         return Series2._of_rows(rows)
 
-    def exp(self) -> "Series2":
-        """exp(self), row by row in the first variable; needs zero constant term."""
-        return Series2._of_rows(_exp_terms(self.rows, self.rows[0].exp(), self.order))
+    exp = _exp
 
     def derivative(self, index: int) -> "Series2":
         """Partial derivative in variable 0 or 1; the order drops by one."""
@@ -515,36 +532,12 @@ def polylog_over_argument(k: int, z):
 
     Only finitely many powers contribute because z must have zero constant
     term; the shift by one power keeps the division exact even though z
-    itself is not invertible.  Works for Series1 and Series2 alike.
-
-    At order n the sum is sum_{j<=n} z**j / (j+1)**k, evaluated by baby
-    steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2(1),
-    1973).  With s = isqrt(n+1), the baby steps are z**0..z**s; block b is
-    sum_{r<s} z**r / (b*s+r+1)**k, cut to order n - b*s; the blocks are
-    combined by Horner in z**s, each partial sum padded with zeros to the
-    next block's order (exact, as z**s has zero constant term).  That is
-    about 2*sqrt(n) series products instead of n.  Each giant step, the
-    block's terms plus the partial sum times z**s, is one _combination.  Both
-    series constructors cut or zero-pad a coefficient list to the order given.
+    itself is not invertible.  Works for Series1 and Series2 alike: at
+    order n it evaluates sum_{j<=n} z**j / (j+1)**k (_evaluate).
     """
-    if z.constant_term != 0:
-        raise DomainError("polylog substitution needs a zero constant term")
-    cls, n = type(z), z.order
-    s = isqrt(n + 1)
-    powers = [cls.one(n), z]
-    while len(powers) <= s:
-        powers.append(powers[-1] * z)
-    acc = None
-    for start in reversed(range(0, n + 1, s)):
-        order = n - start
-        width = min(s, order + 1)
-        terms = [powers[r].truncate(order) for r in range(width)]
-        scalars = [Fraction(start + r + 1) ** (-k) for r in range(width)]
-        if acc is not None:
-            terms.append(cls(acc.coeffs, order) * cls(powers[s].coeffs, order))
-            scalars.append(1)
-        acc = _combination(terms, scalars)
-    return acc
+    if not isinstance(k, int):
+        raise TypeError(f"order must be an int, got {k!r}")
+    return _evaluate([Fraction(j + 1) ** (-k) for j in range(z.order + 1)], z)
 
 
 def egf_coefficient(series, exponents):

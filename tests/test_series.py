@@ -608,6 +608,8 @@ def test_polylog_negative_k_integer_coefficients():
     assert li == Series1([0] + [m * m for m in range(1, 9)], 8)
     with pytest.raises(DomainError):
         polylog(2, Series1.one(4))
+    with pytest.raises(TypeError, match=r"^order must be an int, got 1\.0$"):
+        polylog_over_argument(1.0, Series1.variable(3))
     # bivariate argument: sum m^2 (x+y)^m
     w = coordinate(0, 6) + coordinate(1, 6)
     li2 = polylog(-2, w)
@@ -783,11 +785,13 @@ def test_embed_round_trip():
 @given(series1_any_order(), series1_any_order(), scalar)
 @example(Series1([Fraction(1, 2)] * 2, 1), Series1([2, 2], 1), Fraction(2))
 @example(Series1([2, 4]), Series1([1]), 1)  # the inverse is (Fraction(1, 2), -1)
+@example(Series1([0, 2], 3), Series1([1]), 1)  # exp is (1, 2, 2, Fraction(4, 3))
 @settings(max_examples=40, deadline=None)
 def test_series1_kernels_are_value_typed(a, b, c):
     assert_value_typed(a * b)
     if a.constant_term:
         assert_value_typed(a.inverse())
+    assert_value_typed((a - a.constant_term).exp())
     assert_value_typed(product_xy(a, b))
     assert_value_typed(_combination([a, b], [c, 1]))
     assert_value_typed(_combination_xy([a, b], [b, a], [1, c]))
@@ -806,6 +810,7 @@ def test_series1_kernels_are_value_typed(a, b, c):
 def test_series2_kernels_are_value_typed(a, u):
     assert_value_typed(a * u)
     assert_value_typed(u.inverse())
+    assert_value_typed((a - a.constant_term).exp())
     assert_value_typed(_combination([a, u], [2, 1]))
 
 
