@@ -104,6 +104,8 @@ def rising_factorial(x, n: int):
 
 def format_rational(value) -> str:
     """Render an exact number as 'p/q' in lowest terms, or 'p' for integers."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"format_rational needs an int or Fraction, got {value!r}")
     f = Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)

@@ -183,17 +183,13 @@ def egf_closed_form(n: int, order: int) -> Series2:
 def _rational(function, order: int) -> Series1:
     """The expansion to the order of a rational function, stated as the pair
     (numerator factors, denominator factors) of integer coefficient lists, lowest
-    degree first.  The denominator factors (nonzero constant term) are multiplied
-    each as the sparse left operand; a numerator nonzero to order is divided once."""
+    degree first: the product of the numerator factors divided by each
+    denominator factor (nonzero constant term) in turn, one _quotient per factor."""
     numerators, denominators = function
-    numerator = prod(Series1(factor, order) for factor in numerators)
-    if not any(numerator.coeffs):
-        return numerator
-    denominator = Series1.one(0)
-    for factor in denominators:  # each product cut to the degree reached
-        n = min(denominator.order + len(factor) - 1, order)
-        denominator = Series1(factor, n) * Series1(denominator.coeffs, n)
-    return Series1(_quotient(numerator.coeffs, denominator.coeffs, order), order)
+    coeffs = prod(Series1(factor, order) for factor in numerators).coeffs
+    for factor in denominators:
+        coeffs = _quotient(coeffs, factor, order)
+    return Series1(coeffs, order)
 
 
 def _rational_at(function, x) -> Fraction:
@@ -220,6 +216,16 @@ def _a(j: int):
     return [[0] * (2 * j + 2) + [lead]], [[1, 0, -v * v] for v in range(1, j + 2)]
 
 
+def _f1_partial_sum(n: int):
+    """sum_{j<=n} a_j(x) over the denominator of a_n, whose numerator S_n follows
+    S_j = S_(j-1) (1 - (j+1)^2 x^2) + lead_j x^{2j+2} from S_(-1) = 0."""
+    s = [0]
+    for j in range(n + 1):
+        (top,), denominators = _a(j)
+        s = [u - (j + 1) ** 2 * v + w for u, v, w in zip(s + [0, 0], [0, 0] + s, top)]
+    return [s], denominators
+
+
 _F1_INHOMOGENEITY = [[0, 0, 0, 6, -12, 4]], [[1, -1], [1, -1], [1, -2]]  # see f1_inhomogeneity
 
 
@@ -228,13 +234,9 @@ def _remainder_prefactor(n: int):
     return [[0, -2], [1, n + 2], [2 * n + 5, -(4 * n + 10), n + 3]], [[1, -1], [1, -(n + 3)]]
 
 
-def q_series(j: int, order: int, route: str = "rational") -> Series1:
+def q_series(j: int, order: int) -> Series1:
     """Q_j(X) = X^j / prod_{v=1..j+1}(1 - vX) = sum_{l>=j} {l+1 brace j+1} X^l."""
     _require_index("j", j)
-    if route == "stirling":
-        return Series1([stirling_second(l + 1, j + 1) for l in range(order + 1)], order)
-    if route != "rational":
-        raise ParameterError(f"route must be 'rational' or 'stirling', got {route!r}")
     return _rational(([[0] * j + [1]], [[1, -v] for v in range(1, j + 2)]), order)
 
 
@@ -306,8 +308,7 @@ def f1_term(j: int, order: int) -> Series1:
 
 def f1_series(order: int) -> Series1:
     """sum_j a_j(x); only j <= (order-2)/2 contribute below the truncation."""
-    terms = [f1_term(j, order) for j in range(max(order - 2, 0) // 2 + 1)]
-    return _combination(terms, [1] * len(terms))
+    return _rational(_f1_partial_sum(max(order - 2, 0) // 2), order)
 
 
 def f1_inhomogeneity(order: int) -> Series1:
@@ -371,14 +372,14 @@ def verify_egf(n: int = 4, order: int = 14) -> Iterator[CheckPair]:
 def verify_ogf(n: int = 4, order: int = 14) -> Iterator[CheckPair]:
     """Ordinary coefficients of sum_j j!(j+n)! Q_j(x)Q_j(y) vs script_B_closed.
 
-    Also pins the two Q_j expansion routes (division by the factor product vs the
-    Stirling-coefficient identity) against each other, coefficient by
-    coefficient, before using the rational route in the double sum.
+    Also pins the Q_j expansion (division by the factors) against the
+    Stirling-coefficient identity, coefficient by coefficient, before using
+    it in the double sum.
     """
     for j in range(order + 1):
         yield from _coefficient_pairs(
-            q_series(j, order, "rational"),
-            q_series(j, order, "stirling"),
+            q_series(j, order),
+            Series1([stirling_second(l + 1, j + 1) for l in range(order + 1)], order),
             ("part", "q-route"),
             ("j", j),
         )
@@ -543,21 +544,23 @@ def verify_funceq_remainder(
     sum_{j<=n}(a_j(x/(1-2x)) - (1-2x)a_j(x)) - 2x^3(3-6x+2x^2)/((1-x)^2(1-2x))
       = -(2x/(1-x)) * ((1+(n+2)x)/(1-(n+3)x)) * ((n+3)(x-1)^2-(n+2)(2x-1)) * a_{n+1}(x)
 
-    ``mode='series'`` compares truncated expansions to the given order, the
-    left side substituting the partial sum sum_{j<=n} a_j once (substitution
-    is linear); ``mode='sample'`` evaluates both sides exactly at rational
-    points away from every pole of the identity.  Giving ``points`` in series
-    mode or ``order`` in sample mode raises ParameterError.
+    The left side reads the partial sum sum_{j<=n} a_j as one rational function
+    and substitutes it once (substitution is linear).  ``mode='series'``
+    compares truncated expansions to the given order; ``mode='sample'``
+    evaluates both sides exactly at rational points away from every pole of
+    the identity.  Giving ``points`` in series mode or ``order`` in sample
+    mode raises ParameterError.
     """
+    partial_sum = _f1_partial_sum(n)
     if mode == "series":
-        partial_sum = _combination([f1_term(j, order) for j in range(n + 1)], [1] * (n + 1))
-        lhs = partial_sum.mobius_substitution(2) - (1 - 2 * Series1.variable(order)) * partial_sum
+        expanded = _rational(partial_sum, order)
+        lhs = expanded.mobius_substitution(2) - (1 - 2 * Series1.variable(order)) * expanded
         rhs = _rational(_remainder_prefactor(n), order) * f1_term(n + 1, order)
         yield from _coefficient_pairs(lhs - f1_inhomogeneity(order), rhs)
         return
     for x in map(Fraction, points):
         shifted = x / (1 - 2 * x)
-        lhs = sum(f1_term_at(j, shifted) - (1 - 2 * x) * f1_term_at(j, x) for j in range(n + 1))
+        lhs = _rational_at(partial_sum, shifted) - (1 - 2 * x) * _rational_at(partial_sum, x)
         rhs = _rational_at(_remainder_prefactor(n), x) * f1_term_at(n + 1, x)
         yield (("x", x),), lhs - _rational_at(_F1_INHOMOGENEITY, x), rhs
 

@@ -238,18 +238,19 @@ def egf_poly_bernoulli_B(k: int, order: int) -> Series1:
 
 
 def egf_poly_bernoulli_C(k: int, order: int) -> Series1:
-    """EGF of the C-type numbers: Li_k(1 - e^-t) / (e^t - 1), truncated.
-
-    Uses e^t - 1 = (1 - e^-t) * e^t, so this is the B-type EGF times e^-t.
-    """
-    return egf_poly_bernoulli_B(k, order) * Series1.exponential(-1, order)
+    """EGF of the C-type numbers: Li_k(1 - e^-t) / (e^t - 1), the polynomial EGF at one."""
+    return egf_poly_bernoulli_polynomial(k, 1, order)
 
 
 def egf_poly_bernoulli_polynomial(k: int, x, order: int) -> Series1:
     """EGF of the poly-Bernoulli polynomials at a fixed int, Fraction or rational-string x."""
     if not isinstance(x, (int, Fraction, str)):
         raise TypeError(f"argument must be int, Fraction or a rational string, got {x!r}")
-    return Series1.exponential(-Fraction(x), order) * egf_poly_bernoulli_B(k, order)
+    try:
+        x = Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"x must be a finite rational, got {x!r}") from None
+    return Series1.exponential(-x, order) * egf_poly_bernoulli_B(k, order)
 
 
 def egf_bernoulli(order: int) -> Series1:

@@ -112,6 +112,13 @@ def test_format_rational():
     assert format_rational(Fraction(0)) == "0"
 
 
+def test_format_rational_refuses_what_is_not_an_int_or_fraction():
+    # a float would be rendered as its binary value, 0.1 as 3602879701896397/2^55
+    for value in (0.1, 0.5, "1/2", None):
+        with pytest.raises(TypeError, match="^format_rational needs an int or Fraction, got "):
+            format_rational(value)
+
+
 @given(st.integers(0, 60), st.integers(0, 60))
 @settings(max_examples=120, deadline=None)
 def test_triangle_support(n, m):

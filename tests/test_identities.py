@@ -26,7 +26,7 @@ from polybern.identities import (
     verify_all,
     verify_one,
 )
-from polybern.combinatorics import rising_factorial, stirling_first
+from polybern.combinatorics import rising_factorial, stirling_first, stirling_second
 from polybern.polybernoulli import bernoulli, genocchi, poly_bernoulli_B
 from polybern.series import DomainError, Series1, Series2, product_xy
 
@@ -312,12 +312,10 @@ def test_remainder_series_valuation():
 
 def test_q_series_routes_agree():
     for j in range(7):
-        assert idn.q_series(j, 12, "stirling") == idn.q_series(j, 12, "rational")
-    with pytest.raises(ParameterError):
-        idn.q_series(2, 8, "guess")
-    for route in ("rational", "stirling"):
-        with pytest.raises(ValueError):
-            idn.q_series(-1, 4, route)
+        stirling = Series1([stirling_second(l + 1, j + 1) for l in range(13)], 12)
+        assert idn.q_series(j, 12) == stirling
+    with pytest.raises(ValueError):
+        idn.q_series(-1, 4)
 
 
 def test_g1_inhomogeneity_expansion():
@@ -462,6 +460,21 @@ def test_builders_match_their_term_by_term_sums(order):
     for got, expected in pairs:
         assert got == expected and got.order == expected.order == order
         assert coefficient_types(got) == coefficient_types(expected)
+
+
+@pytest.mark.parametrize("order", (0, 7, 30))
+def test_f1_partial_sum_is_the_sum_of_its_terms(order):
+    # sum_{j<=n} a_j, stated once over the denominator of a_n, expanded and
+    # evaluated, against the terms a_j expanded and evaluated one by one
+    for n in range(13):
+        partial_sum = idn._f1_partial_sum(n)
+        expected = sum((idn.f1_term(j, order) for j in range(n + 1)), Series1.zero(order))
+        got = idn._rational(partial_sum, order)
+        assert got == expected and got.order == order
+        assert coefficient_types(got) == coefficient_types(expected)
+        for x in (Fraction(1, 100), Fraction(-2, 7), Fraction(5, 3), 3):
+            expected = sum(idn.f1_term_at(j, x) for j in range(n + 1))
+            assert idn._rational_at(partial_sum, x) == expected
 
 
 def test_kernel_closed_form_truncation_is_tight():

@@ -262,6 +262,12 @@ def test_polynomial_egf_takes_exact_arguments_only():
             egf_poly_bernoulli_polynomial(1, x, 3)
 
 
+def test_polynomial_egf_names_a_string_that_is_not_a_finite_rational():
+    for x in ("1/0", "-3/0", "abc", "inf", "nan", ""):
+        with pytest.raises(ValueError, match=r"^x must be a finite rational, got "):
+            egf_poly_bernoulli_polynomial(1, x, 3)
+
+
 def test_hand_computed_values():
     assert poly_bernoulli_B(1, 1) == Fraction(1, 2)
     assert poly_bernoulli_C(1, 1) == Fraction(-1, 2)

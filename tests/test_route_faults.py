@@ -83,7 +83,7 @@ ROUTE_FAULTS = [
     ),
     RouteFault(
         "ogf", dict(n=2, order=6),
-        output("q_series", 3, 6, "rational"), "lhs", (("part", "q-route"), ("j", 3), ("i", 0)),
+        output("q_series", 3, 6), "lhs", (("part", "q-route"), ("j", 3), ("i", 0)),
     ),
     RouteFault(
         "ogf", dict(n=2, order=6),
@@ -158,13 +158,14 @@ ROUTE_FAULTS = [
     ),
     RouteFault(
         "f2-funceq", dict(order=10),
-        output("f1_term", 0, 10), "lhs", (("part", "bridge"), ("i", 1)),
+        coefficient(idn, "f1_series", 1), "lhs", (("part", "bridge"), ("i", 2)),
     ),
     RouteFault(
         "f2-funceq", dict(order=10),
         output("genocchi", 4), "rhs", (("part", "bridge"), ("i", 5)),
     ),
-    # Both sides read f1_term: the left the terms j <= n, the right j = n + 1.
+    # The left side reads the partial sum sum_{j<=n} a_j as one rational
+    # function and the right side reads a_{n+1} alone, through f1_term.
     RouteFault(
         "funceq-remainder", dict(n=2, order=12),
         output("f1_inhomogeneity", 12), "lhs", (("i", 0),),
