@@ -568,9 +568,9 @@ def verify_funceq_remainder(
 @_verifier("uniqueness-recursion", max_m=2)
 def verify_uniqueness_recursion(max_m: int = 40) -> Iterator[CheckPair]:
     """The recursion sum_{n<m} C(m,n) 2^{m-n} (2^{n+1}-2) B_n = -2m for m >= 2,
-    its rewriting sum_{n<=m} C(m,n) 2^{m-n} B_n = m + B_m, and the forward
-    solve: the recursion with d_0 = 0 reproduces d_n = (2^{n+1}-2) B_n.
-    It reads B_0..B_{max_m-1}: B_{max_m} cancels in the rewriting at m = max_m."""
+    its rewriting sum_{n<m} C(m,n) 2^{m-n} B_n = m, and the forward solve:
+    the recursion with d_0 = 0 reproduces d_n = (2^{n+1}-2) B_n.
+    It reads B_0..B_{max_m-1}, each in an equality that a wrong value of it fails."""
     for m in range(2, max_m + 1):
         value = sum(
             binomial(m, k) * 2 ** (m - k) * (2 ** (k + 1) - 2) * bernoulli(k)
@@ -578,8 +578,8 @@ def verify_uniqueness_recursion(max_m: int = 40) -> Iterator[CheckPair]:
         )
         yield (("part", "recursion"), ("m", m)), value, -2 * m
     for m in range(2, max_m + 1):
-        value = sum(binomial(m, k) * 2 ** (m - k) * bernoulli(k) for k in range(m + 1))
-        yield (("part", "rewritten"), ("m", m)), value, m + bernoulli(m)
+        value = sum(binomial(m, k) * 2 ** (m - k) * bernoulli(k) for k in range(m))
+        yield (("part", "rewritten"), ("m", m)), value, m
     solved = [Fraction(0)]
     for m in range(2, max_m + 1):
         acc = sum(binomial(m, k) * 2 ** (m - k) * solved[k] for k in range(m - 1))

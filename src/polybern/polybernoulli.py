@@ -5,9 +5,9 @@ Two independent computation routes are provided on purpose:
 * closed-form routes on integers, built on Stirling numbers and, for
   Bernoulli and Genocchi numbers, on tangent numbers (fast, the default
   for scalar queries), and
-* generating-function routes built on truncated exact power series
-  (`egf_*` builders), which the test-suite and the identity checker use
-  as cross-checks.
+* generating-function routes (`egf_*` builders) on truncated exact power
+  series, the B-type one by Kaneko's recurrence, which the test-suite and
+  the identity checker use as cross-checks.
 
 All values are exact: `int` where integrality is guaranteed, `Fraction`
 otherwise.  Bernoulli numbers use the convention with second value -1/2.
@@ -20,9 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import add, mul
 
 from .combinatorics import _FIRST, _SECOND, _GrowingTable
-from .series import Series1, polylog_over_argument
+from .series import Series1, _value
 
 
 class RationalPolynomial:
@@ -233,8 +234,32 @@ def script_B_closed(m: int, l: int, n: int) -> int:
 
 
 def egf_poly_bernoulli_B(k: int, order: int) -> Series1:
-    """EGF of the B-type numbers: Li_k(1 - e^-t) / (1 - e^-t), truncated."""
-    return polylog_over_argument(k, 1 - Series1.exponential(-1, order))
+    """EGF of the B-type numbers: Li_k(1 - e^-t) / (1 - e^-t), truncated.
+
+    Its coefficients B_n^(k) / n! come from Kaneko's recurrence (J. Theor.
+    Nombres Bordeaux 9 (1997) 221-228), which reads no Stirling numbers:
+    (n+1) B_n^(j) = B_n^(j-1) - sum_{m=1..n-1} C(n, m-1) B_m^(j), B_n^(0) = 1,
+    down on ints for k < 0, up for k > 0 on numerators over lcm(1..order+1)^j,
+    which clears every denominator: each division by n+1 is exact or raises.
+    """
+    if not isinstance(k, int):
+        raise TypeError(f"order must be an int, got {k!r}")
+    weights, row = [], [1]  # weights[n][m] = C(n, m-1) for 0 < m < n, weights[n][0] = 0
+    for n in range(order + 1):
+        weights.append([0, *row[: n - 1]])
+        row = [1, *map(add, row, row[1:]), 1]
+    nums, base = [1] * (order + 1), lcm(*range(1, order + 2))
+    for _ in range(-k):
+        nums = [(n + 1) * nums[n] + sum(map(mul, w, nums)) for n, w in enumerate(weights)]
+    for j in range(1, k + 1):
+        prev, nums = nums, []
+        for n, w in enumerate(weights):
+            v, r = divmod(base * prev[n] - sum(map(mul, w, nums)), n + 1)
+            if r:
+                raise ArithmeticError(f"B_{n}^({j}) is not a multiple of 1/lcm(1..{order + 1})^{j}")
+            nums.append(v)
+    den = base ** max(k, 0)
+    return Series1([_value(Fraction(v, den * factorial(n))) for n, v in enumerate(nums)], order)
 
 
 def egf_poly_bernoulli_C(k: int, order: int) -> Series1:

@@ -13,18 +13,18 @@ Series2.inverse run on integer numerators over one common denominator per
 operand and reduce each output coefficient once, not once per term (each row
 of Series2.inverse by its gcd); Series1.inverse is one power-series division
 (_quotient).  Every linear combination sum(c * term) is one integer sum per
-row (_combination).  exp and the polylog sum are one baby-step/giant-step
-evaluation of a scalar sequence at a series argument (_evaluate), whose
-giant steps are such combinations.  These kernels and Series1.exponential give
-an int exactly where the value is an integer; the element-wise operations
-(+, -, negation, scalar *, derivative) keep Python's types.
+row (_combination).  compose, exp and the polylog sum are one Horner
+evaluation of a scalar sequence at a series argument on shrinking orders
+(_evaluate).  These kernels and Series1.exponential give an int exactly where
+the value is an integer; the element-wise operations (+, -, negation, scalar
+*, derivative) keep Python's types.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, lcm
 
 _SCALARS = (int, Fraction)
 
@@ -142,36 +142,26 @@ def _convolve(out, a, b, n) -> None:
 
 def _evaluate(coeffs, z):
     """sum_{j<=n} coeffs[j] * z**j at z's order n, for Series1 or Series2 z
-    with zero constant term and int or Fraction coeffs.
+    with zero constant term, by Horner's rule on shrinking orders.
 
-    Baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput.
-    2(1), 1973).  With s = isqrt(n+1), the baby steps are z**0..z**s; block
-    b is sum_{r<s} coeffs[b*s+r] * z**r, cut to order n - b*s; the blocks
-    are combined by Horner in z**s, each partial sum padded with zeros to
-    the next block's order (exact, as z**s has zero constant term).  That
-    is about 2*sqrt(n) series products instead of n.  Each giant step, the
-    block's terms plus the partial sum times z**s, is one _combination.
-    Both series constructors cut or zero-pad a coefficient list to the
-    order given.
+    The partial sum acc_j = coeffs[j] + ... + coeffs[n] z^(n-j) is later
+    multiplied by z^j, so it is needed only to order n - j: each step pads
+    acc_(j+1) with zeros to that order (exact, as z has zero constant term)
+    and multiplies it by z cut to it.  That is n series products, but for
+    Series1 about n^3/6 coefficient products instead of n^3/2.
     """
     if z.constant_term != 0:
         raise DomainError("series evaluation needs an argument with zero constant term")
     cls, n = type(z), z.order
-    s = isqrt(n + 1)
-    powers = [cls.one(n), z]
-    while len(powers) <= s:
-        powers.append(powers[-1] * z)
-    acc = None
-    for start in reversed(range(0, n + 1, s)):
-        order = n - start
-        width = min(s, order + 1)
-        terms = [powers[r].truncate(order) for r in range(width)]
-        scalars = [coeffs[start + r] for r in range(width)]
-        if acc is not None:
-            terms.append(cls(acc.coeffs, order) * cls(powers[s].coeffs, order))
-            scalars.append(1)
-        acc = _combination(terms, scalars)
+    acc = cls.constant(coeffs[n], 0)
+    for j in range(n - 1, -1, -1):
+        acc = cls(acc.coeffs, n - j) * cls(z.coeffs, n - j) + coeffs[j]
     return acc
+
+
+def _value(q: Fraction):
+    """q, as an int when it is one."""
+    return q if q.denominator > 1 else q.numerator
 
 
 # Ring methods shared by Series1 and Series2.  Each class binds them into its
@@ -232,7 +222,7 @@ def _power(self, exponent: int):
 
 def _exp(self):
     """exp(self) = sum_j self**j / j!; needs zero constant term."""
-    return _evaluate([Fraction(1, factorial(j)) for j in range(self.order + 1)], self)
+    return _evaluate([_value(Fraction(1, factorial(j))) for j in range(self.order + 1)], self)
 
 
 class Series1:
@@ -277,7 +267,7 @@ class Series1:
         term, coeffs = Fraction(1), [1]  # term = c^m/m!
         for m in range(1, order + 1):
             term = term * c / m
-            coeffs.append(term if term.denominator > 1 else term.numerator)
+            coeffs.append(_value(term))
         return cls(coeffs, order)
 
     @classmethod
@@ -354,24 +344,8 @@ class Series1:
         )
 
     def compose(self, inner: "Series1") -> "Series1":
-        """self(inner) by Horner evaluation; inner needs zero constant term.
-
-        With self = sum a_k x^k and n the smaller order, the partial sum
-        acc_k = a_k + a_(k+1) inner + ... + a_n inner^(n-k) is later multiplied
-        by inner^k = O(x^k), so it is needed only to order n - k.  Step k pads
-        acc_(k+1) with zeros to order n - k (exact, as inner has zero constant
-        term) and multiplies it by inner cut to that order; the constructor
-        does both the padding and the cut.  That is n series products, as in
-        full-order Horner, but about n^3/6 coefficient products instead of
-        n^3/2.
-        """
-        if inner.coeffs[0] != 0:
-            raise DomainError("composition needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
-        acc = Series1.constant(self.coeffs[n], 0)
-        for k in range(n - 1, -1, -1):
-            acc = Series1(acc.coeffs, n - k) * Series1(inner.coeffs, n - k) + self.coeffs[k]
-        return acc
+        """self(inner) at the smaller order, by _evaluate; inner needs zero constant term."""
+        return _evaluate(self.coeffs, Series1(inner.coeffs, min(self.order, inner.order)))
 
     def mobius_substitution(self, c) -> "Series1":
         """Substitute x -> x/(1 - c*x), i.e. compose with sum_{j>=1} c^(j-1) x^j."""
@@ -537,7 +511,7 @@ def polylog_over_argument(k: int, z):
     """
     if not isinstance(k, int):
         raise TypeError(f"order must be an int, got {k!r}")
-    return _evaluate([Fraction(j + 1) ** (-k) for j in range(z.order + 1)], z)
+    return _evaluate([_value(Fraction(j + 1) ** -k) for j in range(z.order + 1)], z)
 
 
 def egf_coefficient(series, exponents):

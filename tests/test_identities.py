@@ -524,6 +524,15 @@ def test_uniqueness_recursion_rewritten_form():
         assert total == m + bernoulli(m)
 
 
+def test_uniqueness_recursion_reads_only_the_numbers_it_can_fail_on(monkeypatch):
+    # B_max_m would enter the rewritten equality at m = max_m with weight 1
+    # on both sides, where no value of it can fail.
+    read = set()
+    monkeypatch.setattr(idn, "bernoulli", lambda n: read.add(n) or bernoulli(n))
+    assert idn.verify_uniqueness_recursion(max_m=8).passed
+    assert read == set(range(8))  # B_0..B_7, and not B_8
+
+
 # ---------------------------------------------------------------------------
 # registry surface
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybern import cli
-from polybern.combinatorics import stirling_first, stirling_second
+from polybern.combinatorics import _FIRST, _SECOND, stirling_first, stirling_second
 from polybern.polybernoulli import (
     RationalPolynomial,
     _stirling_vector,
@@ -36,9 +36,9 @@ from polybern.polybernoulli import (
     script_B_closed,
     script_B_def,
 )
-from polybern.series import Series1, egf_coefficient
+from polybern.series import Series1, egf_coefficient, polylog_over_argument
 
-from value_types import assert_value_typed
+from value_types import assert_value_typed, coefficient_types
 
 BERNOULLI_ORACLE = [
     Fraction(1),
@@ -167,6 +167,35 @@ def test_double_sum_against_egf_oracle():
         for n in range(13):
             assert egf_coefficient(series_b, n) == poly_bernoulli_B(n, k), (n, k)
             assert egf_coefficient(series_c, n) == poly_bernoulli_C(n, k), (n, k)
+
+
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_b_egf_matches_the_polylog_sum(k):
+    # The polylog sum at order 64, cut to each order, is the sum at that order.
+    oracle = polylog_over_argument(k, 1 - Series1.exponential(-1, 64))
+    for order in range(65):
+        got, expected = egf_poly_bernoulli_B(k, order), oracle.truncate(order)
+        assert got == expected and got.order == order, (k, order)
+        assert coefficient_types(got) == coefficient_types(expected), (k, order)
+
+
+def test_egf_builders_read_no_stirling_numbers(monkeypatch):
+    # Stirling numbers would make the generating functions a restatement of
+    # the closed formula that every check compares them against.
+    def build():
+        return [
+            (egf_poly_bernoulli_B(k, 20), egf_poly_bernoulli_C(k, 20),
+             egf_poly_bernoulli_polynomial(k, Fraction(1, 2), 20))
+            for k in (-3, 0, 3)
+        ]
+
+    def poisoned(n):
+        raise AssertionError(f"a generating function read Stirling row {n}")
+
+    expected = build()
+    monkeypatch.setattr(_FIRST, "row", poisoned)
+    monkeypatch.setattr(_SECOND, "row", poisoned)
+    assert build() == expected
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -632,7 +632,8 @@ def polylog_over_argument_by_direct_sum(k, z):
 
 @pytest.mark.parametrize("k", range(-3, 4))
 def test_polylog_over_argument_matches_direct_sum(k):
-    # Orders 0..15 give every remainder of the n+1 terms by the block size.
+    # Orders 0..15 take in order 0, where the evaluator takes no step, orders
+    # that cut `mixed` below its degree 5, and orders that pad it with zeros.
     for order in range(16):
         t = Series1.variable(order)
         mixed = Series1([0, 3, Fraction(-1, 2), 0, 2, Fraction(5, 3)], order)
