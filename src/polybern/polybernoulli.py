@@ -17,10 +17,12 @@ The caches are typed, so that an answer never depends on what they hold:
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial, lcm
-from operator import add, mul
+from operator import add, floordiv, mul
 
 from .combinatorics import _FIRST, _SECOND, _GrowingTable
 from .series import Series1, _value
@@ -151,24 +153,49 @@ def _stirling_vector(m: int, n: int) -> tuple[int, ...]:
     return tuple(vector)
 
 
+# Row K is (1^K, 2^K, ..., w^K), shared by every (m, n) and by both signs of k.
+_POWER_ROWS: dict[int, tuple[int, ...]] = {}
+_POWER_ROWS_LOCK = threading.Lock()
+
+
+def _power_row(K: int, width: int) -> tuple[int, ...]:
+    """(1^K, 2^K, ..., w^K) for some w >= width, each power computed once per process.
+
+    A row grows to at least twice its length at a time, under a lock, and
+    is published as one new tuple, so a reader never sees a partial growth.
+    """
+    row = _POWER_ROWS.get(K, ())
+    if len(row) < width:
+        with _POWER_ROWS_LOCK:
+            row = _POWER_ROWS.get(K, ())
+            if len(row) < width:
+                stop = max(width, 2 * len(row))
+                row += tuple(map(pow, range(len(row) + 1, stop + 1), repeat(K)))
+                _POWER_ROWS[K] = row
+    return row
+
+
 @lru_cache(maxsize=None, typed=True)
 def poly_bernoulli_at_integer(m: int, k: int, n: int):
     """The degree-m poly-Bernoulli polynomial of order k evaluated at integer n.
 
     The finite double sum over Stirling numbers of both kinds, as the dot
-    product of the cached k-free vector _stirling_vector(m, n) with q^(-k);
-    the n = 0 column gives the B-type numbers and n = 1 the C-type numbers.
-    Returns an int when k <= 0, a Fraction over lcm(1..m+1)^k otherwise.
+    product of the cached k-free vector _stirling_vector(m, n) with the
+    shared row of q^|k|; the n = 0 column gives the B-type numbers and
+    n = 1 the C-type numbers.  Returns an int when k <= 0, a Fraction over
+    L^k, L = lcm(1..m+1), otherwise, whose numerator reads q^(-k) as
+    L^k // q^k.
     """
     if not isinstance(k, int):
         raise TypeError(f"order must be an int, got {k!r}")
     if m < 0 or n < 0:
         raise ValueError("degree and evaluation point must be non-negative")
     vector = _stirling_vector(m, n)
+    powers = _power_row(abs(k), m + 1)
     if k <= 0:
-        return sum(v * q**-k for q, v in enumerate(vector, 1))
-    base = lcm(*range(1, m + 2))
-    return Fraction(sum(v * (base // q) ** k for q, v in enumerate(vector, 1)), base**k)
+        return sum(map(mul, vector, powers))
+    scale = lcm(*range(1, m + 2)) ** k
+    return Fraction(sum(map(mul, vector, map(floordiv, repeat(scale), powers))), scale)
 
 
 def poly_bernoulli_B(n: int, k: int):
@@ -214,19 +241,30 @@ def script_B_def(m: int, l: int, n: int):
 
 
 @lru_cache(maxsize=None, typed=True)
+def _weighted_stirling_vector(m: int, n: int) -> tuple[int, ...]:
+    """w[i] = (i-1)! (i-1+n)! {m+1, i} for i = 1..m+1, and w[0] = 0.
+
+    The part of script_B_closed(m, l, n) that does not depend on l, indexed
+    like the Stirling row {l+1, i} it is dotted with.
+    """
+    vector, weight = [0], factorial(n)  # weight = (i-1)! (i-1+n)!
+    for i, s in enumerate(_SECOND.row(m + 1)[1:], 1):
+        vector.append(weight * s)
+        weight *= i * (i + n)
+    return tuple(vector)
+
+
+@lru_cache(maxsize=None, typed=True)
 def script_B_closed(m: int, l: int, n: int) -> int:
     """Closed form of script_B_def as a single positive sum; always an integer.
 
-    sum over j of j! (j+n)! {l+1, j+1} {m+1, j+1}.
+    sum over j of j! (j+n)! {l+1, j+1} {m+1, j+1}, the dot product of the
+    cached l-free vector _weighted_stirling_vector(m, n) with {l+1, j+1},
+    which stops with the shorter of the two at j = min(l, m).
     """
     if m < 0 or l < 0 or n < 0:
         raise ValueError("all three indices must be non-negative")
-    row_l, row_m = _SECOND.row(l + 1), _SECOND.row(m + 1)
-    acc, weight = 0, factorial(n)  # weight = j! (j+n)!
-    for j in range(min(l, m) + 1):
-        acc += weight * row_l[j + 1] * row_m[j + 1]
-        weight *= (j + 1) * (j + n + 1)
-    return acc
+    return sum(map(mul, _weighted_stirling_vector(m, n), _SECOND.row(l + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from polybern import cli
 from polybern.combinatorics import _FIRST, _SECOND, stirling_first, stirling_second
 from polybern.polybernoulli import (
+    _POWER_ROWS,
     RationalPolynomial,
     _stirling_vector,
+    _weighted_stirling_vector,
     bernoulli,
     egf_bernoulli,
     egf_poly_bernoulli_B,
@@ -391,6 +393,95 @@ def test_polynomial_at_integer_matches_double_sum():
                 assert p(n) == poly_bernoulli_at_integer(m, k, n)
 
 
+def at_integer_by_term_loop(m, k, n):
+    """poly_bernoulli_at_integer by one power per term of the Stirling vector."""
+    vector = _stirling_vector(m, n)
+    if k <= 0:
+        return sum(v * q**-k for q, v in enumerate(vector, 1))
+    base = lcm(*range(1, m + 2))
+    return Fraction(sum(v * (base // q) ** k for q, v in enumerate(vector, 1)), base**k)
+
+
+def script_b_closed_by_term_loop(m, l, n):
+    """script_B_closed by one product of two Stirling numbers per term."""
+    acc, weight = 0, factorial(n)  # weight = j! (j+n)!
+    for j in range(min(l, m) + 1):
+        acc += weight * stirling_second(l + 1, j + 1) * stirling_second(m + 1, j + 1)
+        weight *= (j + 1) * (j + n + 1)
+    return acc
+
+
+def assert_at_integer_matches_term_loop(m, k, n):
+    got = poly_bernoulli_at_integer(m, k, n)
+    assert type(got) is (Fraction if k > 0 else int), (m, k, n)
+    assert got == at_integer_by_term_loop(m, k, n), (m, k, n)
+
+
+def test_at_integer_matches_the_term_loop_on_the_session_box():
+    for n in (0, 1):
+        for m in range(41):
+            for k in range(-60, 13):
+                assert_at_integer_matches_term_loop(m, k, n)
+    for n in range(2, 9):
+        for m in range(9):
+            for k in range(-20, 9):
+                assert_at_integer_matches_term_loop(m, k, n)
+
+
+def test_script_b_closed_matches_the_term_loop():
+    for n in range(9):
+        for m in range(34):
+            for l in range(34):
+                got = script_B_closed(m, l, n)
+                assert type(got) is int and got == script_b_closed_by_term_loop(m, l, n), (m, l, n)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 40), st.integers(-60, 12), st.integers(0, 8)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_power_rows_grow_from_any_query_order(queries):
+    # Cold rows asked in random order: a row starts at the width of whichever
+    # degree comes first and is then extended from the middle.
+    poly_bernoulli_at_integer.cache_clear()
+    _POWER_ROWS.clear()
+    for m, k, n in queries:
+        assert_at_integer_matches_term_loop(m, k, n)
+
+
+def test_power_rows_grow_consistently_under_concurrent_queries():
+    # Cold rows in a fresh process and a short switch interval: six threads
+    # ask the same exponents at widths growing in one thread and shrinking in
+    # the next, and every row handed out must hold exact powers.
+    code = (
+        "import sys, threading\n"
+        "from polybern.polybernoulli import _power_row\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "bad = []\n"
+        "def work(w):\n"
+        "    widths = range(1 + w, 200, 6)\n"
+        "    for width in widths[::-1] if w % 2 else widths:\n"
+        "        for K in range(0, 40, 3):\n"
+        "            row = _power_row(K, width)\n"
+        "            if len(row) < width or any(r != q**K for q, r in enumerate(row, 1)):\n"
+        "                bad.append((K, width))\n"
+        "threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "print(sum(t.is_alive() for t in threads), len(bad))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert proc.stdout.split() == ["0", "0"]
+
+
 def test_script_b_def_caches_each_argument_order_apart():
     # The duality check compares script_B_def(m, l, n) with script_B_def(l, m, n):
     # a key that sorted m and l would compare one cached value with itself.
@@ -406,6 +497,7 @@ CACHED_ROUTES = (
     script_B_def,
     script_B_closed,
     _stirling_vector,
+    _weighted_stirling_vector,
 )
 
 
@@ -422,6 +514,9 @@ CACHED_ROUTES = (
         (poly_bernoulli_at_integer, (2, 1.0, 1)),
         (poly_bernoulli_C, (3, -2.0)),
         (script_B_def, (2, 1.0, 0)),
+        (script_B_closed, (2, 1, 1.0)),
+        (_weighted_stirling_vector, (2.0, 1)),
+        (_weighted_stirling_vector, (2, 1.0)),
     ],
 )
 def test_cached_route_answers_alike_cold_and_warm(route, args):
