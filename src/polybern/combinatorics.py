@@ -4,8 +4,8 @@ All values are plain Python ints (arbitrary precision), so everything here
 is exact at any index reachable in practice.  The two Stirling triangles are
 growing tables, memoized for the process lifetime and grown on demand under
 a lock, so concurrent readers always see a consistent triangle;
-``polybernoulli`` keeps the Bernoulli and Genocchi numbers in one table of
-the same type.
+``polybernoulli`` keeps the Bernoulli and Genocchi numbers, and the powers
+q^K of each exponent K, in tables of the same type.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from math import comb, factorial
 class _GrowingTable:
     """Rows 0, 1, 2, ... of an exact table, built on demand for the process lifetime.
 
-    ``build(rows, stop)`` returns the rows ``len(rows)`` to ``stop - 1`` as
-    tuples, and may read the rows before them.  The table grows to at least twice its
+    ``build(rows, stop)`` returns the rows ``len(rows)`` to ``stop - 1``,
+    and may read the rows before them.  The table grows to at least twice its
     size at a time, so that the queries 0, 1, 2, ... build only O(log n)
     times.  Growth runs under a lock, and its rows are published by one
     ``list.extend`` once all are built, so a reader never sees a partial
-    growth.  Rows are tuples, so a lookup hands out the stored row itself.
+    growth.  Rows are immutable values, tuples or ints, so a lookup hands
+    out the stored row itself; the stored rows handed out are read-only.
     """
 
     def __init__(self, rows, build):
@@ -40,6 +41,12 @@ class _GrowingTable:
                 if n >= len(rows):
                     rows.extend(self._build(rows, max(n + 1, 2 * len(rows))))
         return rows[n]
+
+    def rows(self, n: int) -> list:
+        """The stored rows, at least n of them: the table's own list, to be read only."""
+        if n > len(self._rows):
+            self.row(n - 1)
+        return self._rows
 
 
 def _stirling_triangle(first: bool) -> _GrowingTable:

@@ -17,15 +17,14 @@ The caches are typed, so that an answer never depends on what they hold:
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from math import comb, factorial, lcm
 from operator import add, floordiv, mul
 
 from .combinatorics import _FIRST, _SECOND, _GrowingTable
-from .series import Series1, _value
+from .series import Series1, _numerators, _value
 
 
 class RationalPolynomial:
@@ -47,10 +46,8 @@ class RationalPolynomial:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
         self._integral = all(isinstance(c, int) for c in self._coeffs)
-        den = lcm(*(c.denominator for c in self._coeffs))
         # Highest degree first, the order in which Horner's rule reads them.
-        self._numerators = tuple(c.numerator * (den // c.denominator) for c in self._coeffs[::-1])
-        self._denominator = den
+        self._numerators, self._denominator = _numerators(self._coeffs[::-1])
 
     @property
     def coeffs(self) -> tuple:
@@ -153,26 +150,21 @@ def _stirling_vector(m: int, n: int) -> tuple[int, ...]:
     return tuple(vector)
 
 
-# Row K is (1^K, 2^K, ..., w^K), shared by every (m, n) and by both signs of k.
-_POWER_ROWS: dict[int, tuple[int, ...]] = {}
-_POWER_ROWS_LOCK = threading.Lock()
+def _powers(K: int, rows, stop: int) -> list[int]:
+    """Rows len(rows)..stop-1 of the power table of K, whose row q-1 is q^K."""
+    return list(map(pow, range(len(rows) + 1, stop + 1), repeat(K)))
 
 
-def _power_row(K: int, width: int) -> tuple[int, ...]:
-    """(1^K, 2^K, ..., w^K) for some w >= width, each power computed once per process.
+# Table K holds 1^K, 2^K, ..., shared by every (m, n) and by both signs of k.
+_POWER_TABLES: dict[int, _GrowingTable] = {}
 
-    A row grows to at least twice its length at a time, under a lock, and
-    is published as one new tuple, so a reader never sees a partial growth.
-    """
-    row = _POWER_ROWS.get(K, ())
-    if len(row) < width:
-        with _POWER_ROWS_LOCK:
-            row = _POWER_ROWS.get(K, ())
-            if len(row) < width:
-                stop = max(width, 2 * len(row))
-                row += tuple(map(pow, range(len(row) + 1, stop + 1), repeat(K)))
-                _POWER_ROWS[K] = row
-    return row
+
+def _power_row(K: int, width: int) -> list[int]:
+    """The stored rows [1^K, 2^K, ..., w^K] of table K, w >= width, each power computed once."""
+    table = _POWER_TABLES.get(K)
+    if table is None:
+        table = _POWER_TABLES.setdefault(K, _GrowingTable([1], partial(_powers, K)))
+    return table.rows(width)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from polybern import cli
 from polybern.combinatorics import _FIRST, _SECOND, stirling_first, stirling_second
 from polybern.polybernoulli import (
-    _POWER_ROWS,
+    _POWER_TABLES,
     RationalPolynomial,
+    _power_row,
     _stirling_vector,
     _weighted_stirling_vector,
     bernoulli,
@@ -448,9 +449,16 @@ def test_power_rows_grow_from_any_query_order(queries):
     # Cold rows asked in random order: a row starts at the width of whichever
     # degree comes first and is then extended from the middle.
     poly_bernoulli_at_integer.cache_clear()
-    _POWER_ROWS.clear()
+    _POWER_TABLES.clear()
     for m, k, n in queries:
         assert_at_integer_matches_term_loop(m, k, n)
+
+
+def test_power_rows_are_one_stored_list_per_exponent():
+    # Every width reads the same growing list of table K, never a copy.
+    row = _power_row(7, 3)
+    assert _power_row(7, 1) is row and _power_row(7, 50) is row
+    assert row[:50] == [q**7 for q in range(1, 51)]
 
 
 def test_power_rows_grow_consistently_under_concurrent_queries():
@@ -637,6 +645,18 @@ def test_polynomial_values_and_types_match_horner_on_the_numbers():
     assert type(RationalPolynomial([1, 2])(3)) is int
     assert type(RationalPolynomial([1, Fraction(2, 1)])(3)) is Fraction
     assert type(RationalPolynomial([1, 2])(Fraction(3, 1))) is Fraction
+
+
+def test_polynomial_with_bool_and_whole_fraction_coefficients():
+    # Neither bool nor Fraction(n, 1) is exactly an int, so both take the
+    # common-denominator route; bool still counts as int for the value type.
+    flags = RationalPolynomial([True, False, True])  # 1 + x^2
+    assert flags.coeffs == (True, False, True)
+    assert type(flags(3)) is int and flags(3) == 10
+    assert type(flags(Fraction(1, 2))) is Fraction and flags(Fraction(1, 2)) == Fraction(5, 4)
+    whole = RationalPolynomial([Fraction(2, 1), True, Fraction(-3, 1)])  # 2 + x - 3x^2
+    assert type(whole(3)) is Fraction and whole(3) == -22
+    assert type(whole(Fraction(-1, 3))) is Fraction and whole(Fraction(-1, 3)) == Fraction(4, 3)
 
 
 def test_polynomial_rejects_inexact_numbers():
