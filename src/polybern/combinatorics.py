@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 
 class _GrowingTable:
@@ -98,15 +98,14 @@ def binomial(n: int, k: int) -> int:
 def rising_factorial(x, n: int):
     """(x)_n = x (x+1) ... (x+n-1); the empty product for n = 0.
 
-    Accepts int or Fraction and returns the same flavour of exact number.
-    Equals sum_j stirling_first(n, j) * x**j.
+    Accepts int or Fraction and returns the same flavour of exact number;
+    any other x raises TypeError.  Equals sum_j stirling_first(n, j) * x**j.
     """
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"rising_factorial needs an int or Fraction x, got {x!r}")
     if n < 0:
         raise ValueError("rising factorial length must be non-negative")
-    result = x - x + 1  # one of the same numeric type as x
-    for i in range(n):
-        result *= x + i
-    return result
+    return prod((x + i for i in range(n)), start=x**0)  # x**0 is one of x's type
 
 
 def format_rational(value) -> str:

@@ -389,15 +389,14 @@ def verify_ogf(n: int = 4, order: int = 14) -> Iterator[CheckPair]:
 
 @_verifier("trivariate", order=1)
 def verify_trivariate(order: int = 6) -> Iterator[CheckPair]:
-    """z-expansion of e^{x+y}/(e^x+e^y-e^{x+y}-z): the coefficient of z^n is
-    e^{x+y} D^{-(n+1)}, i.e. the bivariate closed form divided by n!."""
+    """z-expansion of e^{x+y}/(e^x+e^y-e^{x+y}-z): n! times its z^n coefficient,
+    n! e^{x+y} (1/D)^{n+1}, has the EGF coefficients script_B_closed(m, l, n)."""
     inverse_d = denominator_series(order).inverse()
     ex = Series1.exponential(1, order)
-    geometric = product_xy(ex, ex) * inverse_d
+    term = product_xy(ex, ex) * inverse_d  # n! e^{x+y} (1/D)^{n+1}, one factor 1/D per n
     for n in range(order + 1):
-        target = egf_closed_form(n, order) * Fraction(1, factorial(n))
-        yield from _coefficient_pairs(geometric, target, ("n", n))
-        geometric = geometric * inverse_d
+        yield from _closed_form_pairs(partial(egf_coefficient, term), n, order, ("n", n))
+        term = term * inverse_d * (n + 1)
 
 
 def _require_r_at_least_n(given, n: int, r: int, **_) -> None:
@@ -480,9 +479,8 @@ def verify_f2_funceq(order: int = 30) -> Iterator[CheckPair]:
     and f2 matches -sum G_n x^{n+1} coefficientwise (the Genocchi bridge)."""
     f1 = f1_series(order)
     f2 = f1 * Series1.variable(order) - Series1.monomial(1, 2, order)
-    for i in range(order + 1):
-        rhs = -genocchi(i - 1) if i >= 1 else 0
-        yield (("part", "bridge"), ("i", i)), f2[i], rhs
+    genocchi_sum = Series1([0] + [-genocchi(i - 1) for i in range(1, order + 1)], order)
+    yield from _coefficient_pairs(f2, genocchi_sum, ("part", "bridge"))
     yield from _coefficient_pairs(
         f1.mobius_substitution(2),
         (1 - 2 * Series1.variable(order)) * f1 + f1_inhomogeneity(order),

@@ -117,7 +117,7 @@ def test_criterion_10():
         "duality": (dict(max_l=6, max_m=6, max_n=2), (("l", 0), ("m", 0), ("n", 0))),
         "egf": (dict(n=2, order=6), (("l", 0), ("m", 0))),
         "ogf": (dict(n=2, order=6), (("part", "sum"), ("l", 0), ("m", 0))),
-        "trivariate": (dict(order=4), (("n", 0), ("i", 0), ("j", 0))),
+        "trivariate": (dict(order=4), (("n", 0), ("l", 0), ("m", 0))),
         "stirling-expansion": (dict(n=2, r=4, order=6), (("part", "A"), ("m", 0))),
         "kernel-closed-form": (dict(n=2, order=6), (("i", 0), ("j", 0))),
         "alternating-b-sum": (dict(max_n=8), (("n", 1),)),

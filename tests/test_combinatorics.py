@@ -80,6 +80,8 @@ def test_rising_factorial_type_and_edges():
     assert rising_factorial(1, 5) == factorial(5)
     with pytest.raises(ValueError):
         rising_factorial(1, -1)
+    with pytest.raises(TypeError):
+        rising_factorial(2.5, 2)
 
 
 def orthogonality_check(n: int, m: int) -> int:

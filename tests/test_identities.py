@@ -57,8 +57,8 @@ MUTATIONS = [
     ("egf", SMALL["egf"], (("l", 0), ("m", 0))),
     ("ogf", SMALL["ogf"], (("part", "q-route"), ("j", 0), ("i", 0))),
     ("ogf", SMALL["ogf"], (("part", "sum"), ("l", 0), ("m", 0))),
-    ("trivariate", SMALL["trivariate"], (("n", 0), ("i", 0), ("j", 0))),
-    ("trivariate", SMALL["trivariate"], (("n", 2), ("i", 1), ("j", 1))),
+    ("trivariate", SMALL["trivariate"], (("n", 0), ("l", 0), ("m", 0))),
+    ("trivariate", SMALL["trivariate"], (("n", 2), ("l", 1), ("m", 1))),
     ("stirling-expansion", SMALL["stirling-expansion"], (("part", "A"), ("m", 0))),
     ("stirling-expansion", SMALL["stirling-expansion"], (("part", "B"), ("m", 3))),
     ("kernel-closed-form", SMALL["kernel-closed-form"], (("i", 0), ("j", 0))),

@@ -98,13 +98,14 @@ ROUTE_FAULTS = [
         "ogf", dict(n=2, order=6),
         output("script_B_closed", 1, 2, 2), "rhs", (("part", "sum"), ("l", 2), ("m", 1)),
     ),
-    # Both sides read denominator_series D, product_xy, the Series2 product and
-    # inverse: the right side raises D to a power, the left multiplies by 1/D
-    # n + 1 times.  D^-k is D^k inverted, so the fault enters twice; the two
-    # cancel at y^2 and the difference shows at y^4.
+    # The left side is e^{x+y} times (1/D)^{n+1}, one running product; only it reads D.
     RouteFault(
         "trivariate", dict(order=4),
-        coefficient(Series2, "power", (0, 2)), "rhs", (("n", 0), ("i", 0), ("j", 4)),
+        coefficient(idn, "denominator_series", (0, 2)), "lhs", (("n", 0), ("l", 0), ("m", 2)),
+    ),
+    RouteFault(
+        "trivariate", dict(order=4),
+        output("script_B_closed", 1, 2, 2), "rhs", (("n", 2), ("l", 2), ("m", 1)),
     ),
     RouteFault(
         "stirling-expansion", dict(n=2, r=4, order=8),
@@ -185,7 +186,6 @@ ROUTE_FAULTS = [
 ]
 
 NO_ROUTE_OF_ITS_OWN = {
-    ("trivariate", "lhs"): "every kernel it reads, the right side reads too",
     ("alternating-b-sum", "rhs"): "the constant 0",
     ("uniqueness-recursion", "rhs"): "closed forms in bernoulli, which the left sums read first",
 }
