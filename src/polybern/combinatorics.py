@@ -19,9 +19,10 @@ class _GrowingTable:
     """Rows 0, 1, 2, ... of an exact table, built on demand for the process lifetime.
 
     ``build(rows, stop)`` returns the rows ``len(rows)`` to ``stop - 1``,
-    and may read the rows before them.  The table grows to at least twice its
+    and may read the rows before them.  The table grows by at least half its
     size at a time, so that the queries 0, 1, 2, ... build only O(log n)
-    times.  Growth runs under a lock, and its rows are published by one
+    times and it never holds more than 1.5 times the rows asked for.
+    Growth runs under a lock, and its rows are published by one
     ``list.extend`` once all are built, so a reader never sees a partial
     growth.  Rows are immutable values, tuples or ints, so a lookup hands
     out the stored row itself; the stored rows handed out are read-only.
@@ -33,13 +34,14 @@ class _GrowingTable:
         self._lock = threading.Lock()
 
     def row(self, n: int) -> tuple:
+        rows = self._rows
+        if 0 <= n < len(rows):
+            return rows[n]
         if n < 0:
             raise ValueError("index must be non-negative")
-        rows = self._rows
-        if n >= len(rows):
-            with self._lock:
-                if n >= len(rows):
-                    rows.extend(self._build(rows, max(n + 1, 2 * len(rows))))
+        with self._lock:
+            if n >= len(rows):
+                rows.extend(self._build(rows, max(n + 1, len(rows) + len(rows) // 2)))
         return rows[n]
 
     def rows(self, n: int) -> list:

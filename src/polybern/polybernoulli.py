@@ -115,20 +115,25 @@ def _bernoulli_genocchi_rows(rows, stop: int) -> list:
     return new
 
 
-# Row n is the pair (B_n, G_n).
+# Row n is the pair (B_n, G_n).  The stored rows are the table's own list,
+# which only grows in place, so the readers index it and call row() only to
+# grow the table or to raise.
 _BERNOULLI_GENOCCHI = _GrowingTable(
     [(Fraction(1), 0), (Fraction(-1, 2), 1)], _bernoulli_genocchi_rows
 )
+_BERNOULLI_GENOCCHI_ROWS = _BERNOULLI_GENOCCHI.rows(0)
 
 
 def bernoulli(n: int) -> Fraction:
     """The n-th Bernoulli number, with bernoulli(1) == -1/2."""
-    return _BERNOULLI_GENOCCHI.row(n)[0]
+    rows = _BERNOULLI_GENOCCHI_ROWS
+    return (rows[n] if 0 <= n < len(rows) else _BERNOULLI_GENOCCHI.row(n))[0]
 
 
 def genocchi(n: int) -> int:
     """The n-th Genocchi number 2*(1 - 2**n)*bernoulli(n); always an integer."""
-    return _BERNOULLI_GENOCCHI.row(n)[1]
+    rows = _BERNOULLI_GENOCCHI_ROWS
+    return (rows[n] if 0 <= n < len(rows) else _BERNOULLI_GENOCCHI.row(n))[1]
 
 
 @lru_cache(maxsize=None, typed=True)

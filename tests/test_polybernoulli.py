@@ -95,8 +95,8 @@ def test_tangent_route_matches_bernoulli_recurrence():
 
 
 def test_tables_grow_from_cold_in_any_order():
-    # A fresh process, so the tables start empty and grow by doubling from
-    # whichever index comes first.
+    # A fresh process, so the tables start empty and grow by at least half
+    # their size from whichever index comes first.
     indices = [5, 300, 37, 0, 1, 2, 301, 3]
     code = (
         "import sys\n"
@@ -113,6 +113,27 @@ def test_tables_grow_from_cold_in_any_order():
     expected = bernoulli_by_recurrence(max(indices))
     lines = proc.stdout.splitlines()
     assert lines == [f"{expected[n]!r} {2 * (1 - 2**n) * expected[n]}" for n in indices]
+
+
+def test_tables_hold_at_most_half_again_the_rows_asked():
+    # Queries 0..300 of the Bernoulli table in a fresh process, and widths
+    # 1..301 of one cleared power table: growing by half, neither table holds
+    # more than 1.5 times the 301 rows asked; doubling would build 512.
+    code = (
+        "from polybern.polybernoulli import (\n"
+        "    _BERNOULLI_GENOCCHI, _POWER_TABLES, _power_row, bernoulli)\n"
+        "for n in range(301):\n"
+        "    bernoulli(n)\n"
+        "_POWER_TABLES.clear()\n"
+        "for w in range(1, 302):\n"
+        "    _power_row(5, w)\n"
+        "print(len(_BERNOULLI_GENOCCHI.rows(0)), len(_POWER_TABLES[5].rows(0)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    sizes = list(map(int, proc.stdout.split()))
+    assert len(sizes) == 2 and all(301 <= size <= 301 * 3 // 2 for size in sizes), sizes
 
 
 def test_tables_grow_consistently_under_concurrent_queries():
@@ -540,6 +561,39 @@ def test_cached_route_answers_alike_cold_and_warm(route, args):
     with pytest.raises(TypeError):
         route(*args)
     assert route(*exact) == value
+
+
+# The uncached table readers, each with one inexact index.
+@pytest.mark.parametrize(
+    "reader,args",
+    [
+        ("bernoulli", (2.0,)),
+        ("genocchi", (2.0,)),
+        ("stirling_first", (3.0, 1)),
+        ("stirling_second", (3, 1.0)),
+    ],
+)
+def test_table_reader_rejects_an_inexact_index_cold_and_warm(reader, args):
+    # A fresh process, so the row for the exact index is not yet stored: the
+    # inexact index must raise TypeError both before and after it is, while
+    # the bool True still reads as the index 1.
+    code = (
+        "import polybern\n"
+        f"reader, args = polybern.{reader}, {args!r}\n"
+        "def inexact():\n"
+        "    try:\n"
+        "        reader(*args)\n"
+        "    except TypeError:\n"
+        "        return 'TypeError'\n"
+        "    return 'no error'\n"
+        "cold = inexact()\n"
+        "reader(*map(int, args))\n"
+        "print(cold, inexact(), polybern.bernoulli(True) == polybern.bernoulli(1))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert proc.stdout.split() == ["TypeError", "TypeError", "True"]
 
 
 def test_script_b_def_names_the_inexact_l_cold_and_warm():
