@@ -5,7 +5,11 @@ is exact at any index reachable in practice.  The two Stirling triangles are
 growing tables, memoized for the process lifetime and grown on demand under
 a lock, so concurrent readers always see a consistent triangle;
 ``polybernoulli`` keeps the Bernoulli and Genocchi numbers, and the powers
-q^K of each exponent K, in tables of the same type.
+q^K of each exponent K, in tables of the same type.  A table's list of
+stored rows is only ever extended in place, never replaced, so
+``stirling_first`` and ``stirling_second`` index it directly, as
+``bernoulli`` and ``genocchi`` index theirs, and call ``row()`` only to grow
+the table or to raise.
 """
 
 from __future__ import annotations
@@ -24,8 +28,12 @@ class _GrowingTable:
     times and it never holds more than 1.5 times the rows asked for.
     Growth runs under a lock, and its rows are published by one
     ``list.extend`` once all are built, so a reader never sees a partial
-    growth.  Rows are immutable values, tuples or ints, so a lookup hands
-    out the stored row itself; the stored rows handed out are read-only.
+    growth.  The list is only ever extended in place, never replaced, so a
+    reader may bind ``rows(0)`` once and index it without the lock: the
+    Stirling, Bernoulli and Genocchi readers do, and call ``row()`` only to
+    grow the table or to raise.  Rows are immutable values, tuples or ints,
+    so a lookup hands out the stored row itself; the stored rows handed out
+    are read-only.
     """
 
     def __init__(self, rows, build):
@@ -74,20 +82,34 @@ def _stirling_triangle(first: bool) -> _GrowingTable:
 
 _FIRST = _stirling_triangle(first=True)
 _SECOND = _stirling_triangle(first=False)
+# The tables' own lists of stored rows; a negative index is rejected before
+# they are read, since it would wrap to the last stored row.
+_FIRST_ROWS = _FIRST.rows(0)
+_SECOND_ROWS = _SECOND.rows(0)
 
 
 def stirling_first(n: int, m: int) -> int:
     """Unsigned Stirling number of the first kind [n m]; 0 when m > n."""
     if n < 0 or m < 0:
         raise ValueError("Stirling indices must be non-negative")
-    return _FIRST.row(n)[m] if m <= n else 0
+    if m > n:
+        return 0
+    try:
+        return _FIRST_ROWS[n][m]
+    except IndexError:
+        return _FIRST.row(n)[m]
 
 
 def stirling_second(n: int, m: int) -> int:
     """Stirling number of the second kind {n m}; 0 when m > n."""
     if n < 0 or m < 0:
         raise ValueError("Stirling indices must be non-negative")
-    return _SECOND.row(n)[m] if m <= n else 0
+    if m > n:
+        return 0
+    try:
+        return _SECOND_ROWS[n][m]
+    except IndexError:
+        return _SECOND.row(n)[m]
 
 
 def binomial(n: int, k: int) -> int:

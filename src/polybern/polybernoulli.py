@@ -117,7 +117,8 @@ def _bernoulli_genocchi_rows(rows, stop: int) -> list:
 
 # Row n is the pair (B_n, G_n).  The stored rows are the table's own list,
 # which only grows in place, so the readers index it and call row() only to
-# grow the table or to raise.
+# grow the table or to raise; a negative index goes to row(), since the list
+# would wrap it to the last stored row.
 _BERNOULLI_GENOCCHI = _GrowingTable(
     [(Fraction(1), 0), (Fraction(-1, 2), 1)], _bernoulli_genocchi_rows
 )
@@ -126,14 +127,22 @@ _BERNOULLI_GENOCCHI_ROWS = _BERNOULLI_GENOCCHI.rows(0)
 
 def bernoulli(n: int) -> Fraction:
     """The n-th Bernoulli number, with bernoulli(1) == -1/2."""
-    rows = _BERNOULLI_GENOCCHI_ROWS
-    return (rows[n] if 0 <= n < len(rows) else _BERNOULLI_GENOCCHI.row(n))[0]
+    if n >= 0:
+        try:
+            return _BERNOULLI_GENOCCHI_ROWS[n][0]
+        except IndexError:
+            pass
+    return _BERNOULLI_GENOCCHI.row(n)[0]
 
 
 def genocchi(n: int) -> int:
     """The n-th Genocchi number 2*(1 - 2**n)*bernoulli(n); always an integer."""
-    rows = _BERNOULLI_GENOCCHI_ROWS
-    return (rows[n] if 0 <= n < len(rows) else _BERNOULLI_GENOCCHI.row(n))[1]
+    if n >= 0:
+        try:
+            return _BERNOULLI_GENOCCHI_ROWS[n][1]
+        except IndexError:
+            pass
+    return _BERNOULLI_GENOCCHI.row(n)[1]
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -1,5 +1,6 @@
 """Stirling/binomial layer: oracles, recurrences, orthogonality, threading."""
 
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -163,6 +164,54 @@ def test_tables_are_thread_safe():
             assert not errors
     finally:
         sys.setswitchinterval(interval)
+
+
+def stirling_rows_by_recurrence(n_max: int, first: bool) -> list[list[int]]:
+    """Rows 0..n_max of one unsigned triangle, each row in full, by its recurrence."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        above = rows[-1] + [0]
+        rows.append(
+            [0] + [above[m - 1] + (n - 1 if first else m) * above[m] for m in range(1, n + 1)]
+        )
+    return rows
+
+
+def test_stirling_readers_agree_under_concurrent_queries():
+    # Cold tables in a fresh process and a short switch interval: six threads
+    # (more than the cores) read rows of both kinds through the public
+    # readers, which index the stored rows and grow the tables only on a miss,
+    # half of them from the top index down and half from the bottom up.
+    code = (
+        "import sys, threading\n"
+        "from polybern import stirling_first, stirling_second\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "out = {}\n"
+        "def work(w):\n"
+        "    ns = range(w, 121, 6)\n"
+        "    out[w] = [(n, [stirling_first(n, m) for m in range(n + 1)],\n"
+        "               [stirling_second(n, m) for m in range(n + 1)])\n"
+        "              for n in (ns[::-1] if w % 2 else ns)]\n"
+        "threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "print(sum(t.is_alive() for t in threads))\n"
+        "for w in sorted(out):\n"
+        "    for n, first, second in out[w]:\n"
+        "        print(n, *first, '|', *second)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    alive, *lines = proc.stdout.splitlines()
+    assert alive == "0"
+    first = stirling_rows_by_recurrence(120, first=True)
+    second = stirling_rows_by_recurrence(120, first=False)
+    assert sorted(lines) == sorted(
+        " ".join(map(str, [n, *first[n], "|", *second[n]])) for n in range(121)
+    )
 
 
 def test_table_row_copies_are_isolated():

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polybern import cli
+from polybern import cli, combinatorics, polybernoulli
 from polybern.combinatorics import _FIRST, _SECOND, stirling_first, stirling_second
 from polybern.polybernoulli import (
+    _BERNOULLI_GENOCCHI,
     _POWER_TABLES,
     RationalPolynomial,
     _power_row,
@@ -216,9 +217,20 @@ def test_egf_builders_read_no_stirling_numbers(monkeypatch):
     def poisoned(n):
         raise AssertionError(f"a generating function read Stirling row {n}")
 
+    class PoisonedRows:
+        # stirling_first and stirling_second index the stored rows directly
+        # and call row() only to grow the table.
+        def __getitem__(self, n):
+            poisoned(n)
+
     expected = build()
-    monkeypatch.setattr(_FIRST, "row", poisoned)
-    monkeypatch.setattr(_SECOND, "row", poisoned)
+    for table in (_FIRST, _SECOND):
+        # setitem, not setattr: undoing it removes the instance attributes
+        # rather than leaving the bound methods behind on the tables.
+        monkeypatch.setitem(vars(table), "row", poisoned)
+        monkeypatch.setitem(vars(table), "rows", poisoned)
+    monkeypatch.setattr(combinatorics, "_FIRST_ROWS", PoisonedRows())
+    monkeypatch.setattr(combinatorics, "_SECOND_ROWS", PoisonedRows())
     assert build() == expected
 
 
@@ -596,6 +608,65 @@ def test_table_reader_rejects_an_inexact_index_cold_and_warm(reader, args):
     assert proc.stdout.split() == ["TypeError", "TypeError", "True"]
 
 
+# Each uncached table reader as a function of its row n, the entry of a
+# stored row that it reads, its table, and the module name bound to the
+# table's list of stored rows.
+STORED_ROW_READERS = {
+    "stirling_first": (
+        lambda n: stirling_first(n, n // 2), lambda row, n: row[n // 2],
+        _FIRST, combinatorics, "_FIRST_ROWS",
+    ),
+    "stirling_second": (
+        lambda n: stirling_second(n, n // 2), lambda row, n: row[n // 2],
+        _SECOND, combinatorics, "_SECOND_ROWS",
+    ),
+    "bernoulli": (
+        bernoulli, lambda row, n: row[0],
+        _BERNOULLI_GENOCCHI, polybernoulli, "_BERNOULLI_GENOCCHI_ROWS",
+    ),
+    "genocchi": (
+        genocchi, lambda row, n: row[1],
+        _BERNOULLI_GENOCCHI, polybernoulli, "_BERNOULLI_GENOCCHI_ROWS",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", STORED_ROW_READERS)
+def test_warm_reads_index_the_stored_rows(reader, monkeypatch):
+    # A stored row is read from the table's own list, without a call of
+    # row(); a read one past the stored rows grows the table through row(),
+    # which extends that same list in place.
+    read, entry, table, module, binding = STORED_ROW_READERS[reader]
+    table.row(40)
+    calls = []
+    unpatched = table.row
+
+    def counted(n):
+        calls.append(n)
+        return unpatched(n)
+
+    monkeypatch.setitem(vars(table), "row", counted)
+    rows = table.rows(0)
+    assert getattr(module, binding) is rows
+    assert [read(n) for n in range(len(rows))] == [entry(row, n) for n, row in enumerate(rows)]
+    assert calls == []
+    n = len(rows)
+    value = read(n)
+    assert calls == [n]
+    assert len(rows) > n and value == entry(table.row(n), n)
+    assert getattr(module, binding) is table.rows(0) is rows
+
+
+@pytest.mark.parametrize("reader,table", [(stirling_first, _FIRST), (stirling_second, _SECOND)])
+def test_stirling_is_zero_above_the_diagonal_without_a_read(reader, table):
+    # m past the stored row n, and n past the stored rows: 0, and no growth.
+    stored = len(table.rows(0))
+    assert reader(3, 7) == 0
+    assert reader(3, stored + 7) == 0
+    assert reader(stored + 1, stored + 2) == 0
+    assert len(table.rows(0)) == stored
+
+
 def test_script_b_def_names_the_inexact_l_cold_and_warm():
     script_B_def.cache_clear()
     with pytest.raises(TypeError, match=r"^l must be an int, got 1\.0$"):
@@ -619,9 +690,15 @@ def test_script_b_def_names_the_inexact_l_cold_and_warm():
         (poly_bernoulli_polynomial, (-1, 0), "degree must be non-negative"),
         (script_B_def, (-1, 0, 0), "all three indices must be non-negative"),
         (script_B_closed, (0, -1, 0), "all three indices must be non-negative"),
+        (stirling_second, (-1, -1), "Stirling indices must be non-negative"),
     ],
 )
 def test_negative_index_raises_value_error(fn, args, message):
+    # On warm tables: the table readers index their stored lists, which
+    # would wrap -1 to the last stored row.
+    bernoulli(30)
+    stirling_first(30, 0)
+    stirling_second(30, 0)
     with pytest.raises(ValueError, match=f"^{message}$"):
         fn(*args)
 
