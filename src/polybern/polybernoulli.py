@@ -6,8 +6,9 @@ Two independent computation routes are provided on purpose:
   Bernoulli and Genocchi numbers, on tangent numbers (fast, the default
   for scalar queries), and
 * generating-function routes (`egf_*` builders) on truncated exact power
-  series, the B-type one by Kaneko's recurrence, which the test-suite and
-  the identity checker use as cross-checks.
+  series, which the test-suite and the identity checker use as
+  cross-checks.  The B-type, C-type and polynomial EGFs all come from
+  Kaneko's recurrence, the last two through one integer binomial transform.
 
 All values are exact: `int` where integrality is guaranteed, `Fraction`
 otherwise.  Bernoulli numbers use the convention with second value -1/2.
@@ -278,14 +279,36 @@ def script_B_closed(m: int, l: int, n: int) -> int:
 
 
 def egf_poly_bernoulli_B(k: int, order: int) -> Series1:
-    """EGF of the B-type numbers: Li_k(1 - e^-t) / (1 - e^-t), truncated.
+    """EGF of the B-type numbers: Li_k(1 - e^-t) / (1 - e^-t), the polynomial EGF at zero."""
+    return egf_poly_bernoulli_polynomial(k, 0, order)
 
-    Its coefficients B_n^(k) / n! come from Kaneko's recurrence (J. Theor.
-    Nombres Bordeaux 9 (1997) 221-228), which reads no Stirling numbers:
+
+def egf_poly_bernoulli_C(k: int, order: int) -> Series1:
+    """EGF of the C-type numbers: Li_k(1 - e^-t) / (e^t - 1), the polynomial EGF at one."""
+    return egf_poly_bernoulli_polynomial(k, 1, order)
+
+
+def egf_poly_bernoulli_polynomial(k: int, x, order: int) -> Series1:
+    """EGF e^(-xt) Li_k(1 - e^-t) / (1 - e^-t) of the poly-Bernoulli polynomials, truncated.
+
+    x is a fixed int, Fraction or rational string.  The B-type numbers
+    B_n^(k) = N_n / L^k, L = lcm(1..order+1) for k > 0 and 1 otherwise, come
+    from Kaneko's recurrence (J. Theor. Nombres Bordeaux 9 (1997) 221-228),
+    which reads no Stirling numbers:
     (n+1) B_n^(j) = B_n^(j-1) - sum_{m=1..n-1} C(n, m-1) B_m^(j), B_n^(0) = 1,
     down on ints for k < 0, up for k > 0 on numerators over lcm(1..order+1)^j,
     which clears every denominator: each division by n+1 is exact or raises.
+    With x = p/q, n! [t^n] is the binomial transform
+    T_n = sum_i C(n, i) N_i q^i (-p)^(n-i) over L^k q^n.  Step s = 1..order,
+    d_i <- q d_i - p d_(i-1) for i >= s, from d = N, leaves T_s in d_s for
+    good; at x = 0 every step is the identity, so none is run.
     """
+    if not isinstance(x, (int, Fraction, str)):
+        raise TypeError(f"argument must be int, Fraction or a rational string, got {x!r}")
+    try:
+        x = Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"x must be a finite rational, got {x!r}") from None
     if not isinstance(k, int):
         raise TypeError(f"order must be an int, got {k!r}")
     weights, row = [], [1]  # weights[n][m] = C(n, m-1) for 0 < m < n, weights[n][0] = 0
@@ -302,24 +325,11 @@ def egf_poly_bernoulli_B(k: int, order: int) -> Series1:
             if r:
                 raise ArithmeticError(f"B_{n}^({j}) is not a multiple of 1/lcm(1..{order + 1})^{j}")
             nums.append(v)
+    p, q = x.numerator, x.denominator
+    for s in range(1, order + 1) if p else ():
+        nums[s:] = [q * a - p * b for a, b in zip(nums[s:], nums[s - 1 :])]
     den = base ** max(k, 0)
-    return Series1([_value(Fraction(v, den * factorial(n))) for n, v in enumerate(nums)], order)
-
-
-def egf_poly_bernoulli_C(k: int, order: int) -> Series1:
-    """EGF of the C-type numbers: Li_k(1 - e^-t) / (e^t - 1), the polynomial EGF at one."""
-    return egf_poly_bernoulli_polynomial(k, 1, order)
-
-
-def egf_poly_bernoulli_polynomial(k: int, x, order: int) -> Series1:
-    """EGF of the poly-Bernoulli polynomials at a fixed int, Fraction or rational-string x."""
-    if not isinstance(x, (int, Fraction, str)):
-        raise TypeError(f"argument must be int, Fraction or a rational string, got {x!r}")
-    try:
-        x = Fraction(x)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"x must be a finite rational, got {x!r}") from None
-    return Series1.exponential(-x, order) * egf_poly_bernoulli_B(k, order)
+    return Series1([_value(Fraction(v, den * q**n * factorial(n))) for n, v in enumerate(nums)], order)
 
 
 def egf_bernoulli(order: int) -> Series1:

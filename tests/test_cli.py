@@ -228,6 +228,21 @@ def test_expand_poly_needs_rational_x(capsys):
     assert json.loads(out)["parameters"]["x"] == "-1/2"
 
 
+# `expand egf-poly` at order 48, pinned by SHA-256: x = -1/3 with k > 0 and
+# x = 5/4 with k < 0, so both signs of k and of x run through the builder.
+EXPAND_EGF_POLY_SHA256 = {
+    ("--k", "3", "--x=-1/3"): (6293, "d046a3d83d86453d6d99600565e459f4ce948d52f7783bc0fe72d58c0b2747d3"),
+    ("--k", "-2", "--x", "5/4"): (4872, "3fb53c503cb4f75905210a6d6aad248b4e42bcb2b218f855943ebe314511b820"),
+}
+
+
+@pytest.mark.parametrize("args", EXPAND_EGF_POLY_SHA256)
+def test_expand_egf_poly_golden(capsys, args):
+    code, out, err = run_cli(capsys, "expand", "egf-poly", *args, "--order", "48")
+    assert code == 0 and err == ""
+    assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == EXPAND_EGF_POLY_SHA256[args]
+
+
 def test_expand_scriptb_bivariate(capsys):
     code, out, _ = run_cli(capsys, "expand", "egf-scriptB", "--n", "2", "--order", "5")
     assert code == 0

@@ -204,6 +204,18 @@ def test_b_egf_matches_the_polylog_sum(k):
         assert coefficient_types(got) == coefficient_types(expected), (k, order)
 
 
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_polynomial_egf_is_the_product_of_its_definition(k):
+    # The definition e^(-xt) times the B-type EGF, through the series product,
+    # against the binomial transform of the B-type numerators.
+    for x in (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)):
+        for order in (0, 1, 2, 17, 48):
+            got = egf_poly_bernoulli_polynomial(k, x, order)
+            expected = Series1.exponential(-x, order) * egf_poly_bernoulli_B(k, order)
+            assert got == expected and got.order == order, (k, x, order)
+            assert coefficient_types(got) == coefficient_types(expected), (k, x, order)
+
+
 def test_egf_builders_read_no_stirling_numbers(monkeypatch):
     # Stirling numbers would make the generating functions a restatement of
     # the closed formula that every check compares them against.
@@ -296,10 +308,12 @@ def test_readme_examples(example):
 
 
 def test_polynomial_egf_against_coefficient_route():
-    for k in (-2, 0, 1, 3):
-        for x in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2, 3)):
-            series = egf_poly_bernoulli_polynomial(k, x, 10)
-            for n in range(11):
+    # |p| > 1 and q > 1 in x = p/q drive both terms of the transform's step.
+    xs = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-7, 3))
+    for k in range(-3, 4):
+        for x in map(Fraction, xs):
+            series = egf_poly_bernoulli_polynomial(k, x, 24)
+            for n in range(25):
                 assert egf_coefficient(series, n) == poly_bernoulli_polynomial(n, k)(x)
 
 
