@@ -29,34 +29,38 @@ from .series import Series1, _numerators, _value
 
 
 class RationalPolynomial:
-    """A polynomial with int or Fraction coefficients, stored lowest degree first.
+    """A polynomial with int or Fraction coefficients.
 
-    The coefficients are also kept as integer numerators over one common
-    denominator, so a value at p/q is Horner's rule on ints followed by one
-    Fraction.  Instances are immutable and may be shared.
+    The coefficients are kept only as integer numerators over one common
+    denominator, highest degree first, so a value at p/q is Horner's rule on
+    ints followed by one Fraction.  `coeffs` rebuilds them lowest degree
+    first: ints when every given coefficient was an int (a bool counts),
+    Fractions otherwise.  The denominator is the lcm of the reduced ones, so
+    equal polynomials have equal numerators and denominator, however their
+    coefficients were spelled.  Instances are immutable and may be shared.
     """
 
-    __slots__ = ("_coeffs", "_numerators", "_denominator", "_integral")
+    __slots__ = ("_numerators", "_denominator", "_integral")
 
     def __init__(self, coeffs) -> None:
-        trimmed = list(coeffs)
+        trimmed = list(coeffs) or [0]
         while len(trimmed) > 1 and trimmed[-1] == 0:
             trimmed.pop()
-        self._coeffs = tuple(trimmed) if trimmed else (0,)
-        for c in self._coeffs:
+        for c in trimmed:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
-        self._integral = all(isinstance(c, int) for c in self._coeffs)
-        # Highest degree first, the order in which Horner's rule reads them.
-        self._numerators, self._denominator = _numerators(self._coeffs[::-1])
+        self._integral = all(isinstance(c, int) for c in trimmed)
+        numerators, self._denominator = _numerators(trimmed[::-1])
+        self._numerators = tuple(numerators)
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        ints = self._numerators[::-1]
+        return ints if self._integral else tuple(Fraction(a, self._denominator) for a in ints)
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._numerators) - 1
 
     def __call__(self, x):
         """The value at an int or Fraction x: an int when x and every coefficient are ints."""
@@ -76,13 +80,13 @@ class RationalPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return (self._numerators, self._denominator) == (other._numerators, other._denominator)
 
     def __hash__(self):
-        return hash(self._coeffs)  # hash(n) == hash(Fraction(n))
+        return hash((self._numerators, self._denominator))
 
     def __repr__(self) -> str:
-        return f"RationalPolynomial({list(self._coeffs)!r})"
+        return f"RationalPolynomial({list(self.coeffs)!r})"
 
 
 def _tangent_numbers(m: int) -> list[int]:

@@ -1,11 +1,12 @@
 """Truncated formal power series over exact rationals, in one and two variables.
 
-Coefficients are exact numbers (int or Fraction); exponents above the
-truncation order are discarded, never approximated.  Series1 is dense in a
-single variable.  Series2 truncates by TOTAL degree: coefficients are kept
-for exponent pairs (i, j) with i + j <= order, stored as Series1 rows (row i
-of order order - i), so every bivariate operation but the product and the
-inverse is the Series1 operation on its rows.
+Coefficients are exact numbers: the constructors reject anything but an int
+or a Fraction with TypeError.  Exponents above the truncation order are
+discarded, never approximated.  Series1 is dense in a single variable.
+Series2 truncates by TOTAL degree: coefficients are kept for exponent pairs
+(i, j) with i + j <= order, stored as Series1 rows (row i of order
+order - i), so every bivariate operation but the product and the inverse is
+the Series1 operation on its rows.
 
 Every operation returns a fresh series (pure value semantics).  Binary
 operations truncate the result to the smaller operand order.  Products and
@@ -31,12 +32,6 @@ _SCALARS = (int, Fraction)
 
 class DomainError(ValueError):
     """An operand violates a series-domain precondition (e.g. constant term)."""
-
-
-def _as_scalar(value):
-    if isinstance(value, _SCALARS):
-        return value
-    return NotImplemented
 
 
 def _quotient(num, den, n) -> list:
@@ -232,6 +227,9 @@ class Series1:
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, _SCALARS):
+                raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
@@ -296,10 +294,10 @@ class Series1:
         if isinstance(other, Series1):
             n = min(self.order, other.order)
             return Series1([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
-        if (s := _as_scalar(other)) is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
         c = list(self.coeffs)
-        c[0] += s
+        c[0] += other
         return Series1(c, self.order)
 
     __radd__ = __add__
@@ -318,9 +316,9 @@ class Series1:
             out = [0] * (n + 1)
             _convolve(out, a, b, n)
             return Series1(_over(out, da * db), n)
-        if (s := _as_scalar(other)) is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        return Series1([c * s for c in self.coeffs], self.order)
+        return Series1([c * other for c in self.coeffs], self.order)
 
     __rmul__ = __mul__
     __pow__ = _pow
@@ -420,9 +418,9 @@ class Series2:
     def __add__(self, other) -> "Series2":
         if isinstance(other, Series2):
             return Series2._of_rows(a + b for a, b in zip(self.rows, other.rows))
-        if (s := _as_scalar(other)) is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        return Series2._of_rows((self.rows[0] + s, *self.rows[1:]))
+        return Series2._of_rows((self.rows[0] + other, *self.rows[1:]))
 
     __radd__ = __add__
 
@@ -442,9 +440,9 @@ class Series2:
                 for i2 in range(n - i1 + 1):
                     _convolve(rows[i1 + i2], a[i1], b[i2], n - i1 - i2)
             return Series2([_over(row, da * db) for row in rows], n)
-        if (s := _as_scalar(other)) is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        return Series2._of_rows(r * s for r in self.rows)
+        return Series2._of_rows(r * other for r in self.rows)
 
     __rmul__ = __mul__
     __pow__ = _pow

@@ -794,14 +794,19 @@ def test_polynomial_values_and_types_match_horner_on_the_numbers():
 
 def test_polynomial_with_bool_and_whole_fraction_coefficients():
     # Neither bool nor Fraction(n, 1) is exactly an int, so both take the
-    # common-denominator route; bool still counts as int for the value type.
+    # common-denominator route; bool still counts as int for the value type
+    # and for the type of the rebuilt coefficients.
     flags = RationalPolynomial([True, False, True])  # 1 + x^2
-    assert flags.coeffs == (True, False, True)
+    assert flags.coeffs == (1, 0, 1) and all(type(c) is int for c in flags.coeffs)
     assert type(flags(3)) is int and flags(3) == 10
     assert type(flags(Fraction(1, 2))) is Fraction and flags(Fraction(1, 2)) == Fraction(5, 4)
     whole = RationalPolynomial([Fraction(2, 1), True, Fraction(-3, 1)])  # 2 + x - 3x^2
+    assert whole.coeffs == (2, 1, -3) and all(type(c) is Fraction for c in whole.coeffs)
     assert type(whole(3)) is Fraction and whole(3) == -22
     assert type(whole(Fraction(-1, 3))) is Fraction and whole(Fraction(-1, 3)) == Fraction(4, 3)
+    # One Fraction among the coefficients makes every rebuilt coefficient a Fraction.
+    mixed = RationalPolynomial([2, Fraction(3, 1)]).coeffs
+    assert mixed == (Fraction(2), Fraction(3)) and all(type(c) is Fraction for c in mixed)
 
 
 def test_polynomial_rejects_inexact_numbers():
@@ -830,3 +835,14 @@ def test_poly_bernoulli_polynomial_is_one_shared_immutable_instance():
             assert [type(c) for c in p.coeffs] == [type(c) for c in expected.coeffs]
     with pytest.raises(AttributeError):
         p.coeffs = (1,)
+
+
+def test_poly_bernoulli_polynomial_keeps_only_integer_numerators():
+    assert "_coeffs" not in RationalPolynomial.__slots__
+    for n in range(13):
+        for k in range(-4, 5):
+            p = poly_bernoulli_polynomial(n, k)
+            assert all(type(a) is int for a in p._numerators), (n, k)
+            assert type(p._denominator) is int
+            # The rebuilt coefficients keep their types: ints for k <= 0, Fractions above.
+            assert all(type(c) is (int if k <= 0 else Fraction) for c in p.coeffs), (n, k)

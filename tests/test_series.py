@@ -111,6 +111,24 @@ def test_monomial_rejects_a_negative_exponent():
             Series1.monomial(1, exponent, 5)
 
 
+def test_constructors_reject_inexact_coefficients():
+    # Bivariate rows go through Series1, so Series2 rejects them too.
+    message = r"^coefficients must be int or Fraction, got "
+    with pytest.raises(TypeError, match=message + r"0\.5$"):
+        Series1([0.5, 1])
+    with pytest.raises(TypeError, match=message + r"0\.5$"):
+        Series1([0, 0.5, 0])  # would reach compose as a float coefficient
+    with pytest.raises(TypeError, match=message + r"'a'$"):
+        Series1(["a"])
+    with pytest.raises(TypeError, match=message + r"0\.5$"):
+        Series2([[0, 0.5]], 1)
+    with pytest.raises(TypeError, match=message + r"0\.5$"):
+        Series2.constant(0.5, 2)
+    with pytest.raises(TypeError):
+        Series1([0, 1]) + 0.5
+    assert Series1([True, Fraction(1, 2)]).coeffs == (1, Fraction(1, 2))
+
+
 def test_equality_requires_same_order():
     assert Series1.one(3) != Series1.one(4)
     assert Series1([1, 2], 3) == Series1([1, 2, 0, 0], 3)
